@@ -22,8 +22,8 @@ from .entanglement import concurrence, thermal_concurrence
 from .model import ModelParams, gibbs_state
 from .phase import (TABLE1_REFERENCE, TABLE1_TOLERANCE, NoClassicalAdvantageError,
                     critical_temperature, reproduce_table1, sweep)
-from .teleport import (PureQubit, apply_channel, average_fidelity,
-                       mc_average_fidelity, output_fidelity, protocol_oracle)
+from .teleport import (PureQubit, apply_channel_stack, average_fidelity,
+                       mc_average_fidelity, output_fidelity, protocol_oracle_stack)
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -127,14 +127,10 @@ def _cmd_fidelity(args) -> OutputEnvelope:
         result["mc_stderr"] = mc.stderr
         result["mc_samples"] = mc.samples
     if args.verify:
-        rho = gibbs_state(p).rho
-        dev = 0.0
-        for theta in _ORACLE_THETAS:
-            for phi in _ORACLE_PHIS:
-                psi = PureQubit(theta=theta, phi=phi)
-                dev = max(dev, float(np.abs(protocol_oracle(rho, psi)
-                                            - apply_channel(rho, psi)).max()))
-        result["oracle_max_deviation"] = dev
+        psis = [PureQubit(theta=theta, phi=phi) for theta in _ORACLE_THETAS for phi in _ORACLE_PHIS]
+        rhos = np.broadcast_to(gibbs_state(p).rho, (len(psis), 4, 4))
+        result["oracle_max_deviation"] = float(np.abs(
+            protocol_oracle_stack(rhos, psis)[0] - apply_channel_stack(rhos, psis)).max())
     meta = _metadata("fidelity", {"j": p.j, "b_m": p.b_m, "t": p.t}, seed=seed)
     return OutputEnvelope(meta, result)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA, hermitian_function, kron, validate_density
+from .linalg import SIGMA, hermitian_function, kron, stack_of_one, validate_density
 from .model import ModelParams, hyperbolic_weights
 
 # sigma_y (x) sigma_y, the spin-flip conjugation.
@@ -38,9 +38,10 @@ class ConcurrenceBreakdown:
     value: float
 
 
-def concurrence(rho) -> ConcurrenceBreakdown:
-    """Concurrence of an arbitrary two-qubit density matrix.
+def concurrence_stack(rhos) -> tuple[np.ndarray, np.ndarray]:
+    """Spin-flip concurrence of each two-qubit density matrix in a stack (N, 4, 4).
 
+    Returns the decreasing square-rooted spectra (N, 4) and the concurrences (N,).
     The spin-flipped product rho (sy(x)sy) rho* (sy(x)sy) shares its spectrum
     with the Hermitian-symmetrized matrix W W^dagger, W = sqrt(rho) (sy(x)sy)
     sqrt(rho)^T, so its square-rooted eigenvalues are the singular values of
@@ -48,15 +49,21 @@ def concurrence(rho) -> ConcurrenceBreakdown:
     which would cost half the working precision on almost-pure states.  The
     concurrence is max(l1 - l2 - l3 - l4, 0) over the decreasing l_k.
     """
-    rho = validate_density(rho, dim=4)
-    sq = hermitian_function(rho, lambda x: np.sqrt(max(x, 0.0)))
-    w = np.linalg.svd(sq @ SPIN_FLIP @ sq.T, compute_uv=False)
+    rhos = validate_density(rhos, dim=4)
+    sq = hermitian_function(rhos, lambda x: np.sqrt(np.maximum(x, 0.0)))
+    w = np.linalg.svd(sq @ SPIN_FLIP @ sq.swapaxes(-1, -2), compute_uv=False)
     if not np.all(np.isfinite(w)) or w.min() < -NEGATIVE_EIG_TOL:
         raise FloatingPointError(
             f"spin-flip spectrum out of range: {w.min():.3e}")
-    lam = np.sort(np.clip(w, 0.0, None))[::-1]
-    value = max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0)
-    return ConcurrenceBreakdown(lambdas=tuple(float(x) for x in lam), value=value)
+    lam = np.sort(np.maximum(w, 0.0))[..., ::-1]
+    value = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
+    return lam, value
+
+
+def concurrence(rho) -> ConcurrenceBreakdown:
+    """Concurrence of an arbitrary two-qubit density matrix (see concurrence_stack)."""
+    lam, value = concurrence_stack(stack_of_one(rho, "rho"))
+    return ConcurrenceBreakdown(lambdas=tuple(float(x) for x in lam[0]), value=float(value[0]))
 
 
 def thermal_concurrence(p: ModelParams) -> float:

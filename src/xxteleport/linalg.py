@@ -38,37 +38,56 @@ class HermitianEigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex square ndarray of dimension 2, 4 or 8."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _square_stack(a: np.ndarray, name: str) -> np.ndarray:
+    """Check a complex (d, d) or (N, d, d) array: square, d in ALLOWED_DIMS, all finite."""
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] not in ALLOWED_DIMS:
-        raise ValueError(f"{name} dimension must be one of {ALLOWED_DIMS}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if a.shape[-1] not in ALLOWED_DIMS:
+        raise ValueError(f"{name} dimension must be one of {ALLOWED_DIMS}, got {a.shape[-1]}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
+def stack_of_one(m, name: str = "matrix") -> np.ndarray:
+    """A single complex matrix (d, d) as a stack (1, d, d); other shapes are rejected."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a[None]
+
+
+def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a complex square ndarray of dimension 2, 4 or 8."""
+    return _square_stack(stack_of_one(m, name)[0], name)
+
+
 def validate_hermitian(m, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    a = as_square_matrix(m, name)
-    if np.abs(a - a.conj().T).max() > atol:
+    """A Hermitian matrix (d, d) or stack of them (N, d, d); one bad member fails all."""
+    a = _square_stack(np.asarray(m, dtype=complex), name)
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > atol:
         raise ValueError(f"{name} is not Hermitian within {atol:g}")
     return a
 
 
 def validate_density(rho, dim: int | None = None, name: str = "rho",
                      atol: float = DENSITY_ATOL) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, spectrum >= -atol."""
+    """Validate a density matrix (d, d), or each member of a stack (N, d, d):
+    Hermitian, unit trace, spectrum >= -atol.  A stack fails with the message
+    its first bad member would give on its own.
+    """
     a = validate_hermitian(rho, name, atol)
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"{name} must be {dim}x{dim}, got {a.shape[0]}x{a.shape[0]}")
-    tr = np.trace(a)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"{name} trace must be 1, got {tr:.15g}")
-    w = np.linalg.eigvalsh(a)
-    if w[0] < -atol:
-        raise ValueError(f"{name} has negative eigenvalue {w[0]:.3e}")
+    d = a.shape[-1]
+    if dim is not None and d != dim:
+        raise ValueError(f"{name} must be {dim}x{dim}, got {d}x{d}")
+    tr = a.diagonal(0, -2, -1).sum(-1)
+    bad = np.abs(tr - 1.0) > atol
+    if bad.any():
+        raise ValueError(f"{name} trace must be 1, got {tr[bad][0]:.15g}")
+    w_min = np.linalg.eigvalsh(a)[..., 0]
+    bad = w_min < -atol
+    if bad.any():
+        raise ValueError(f"{name} has negative eigenvalue {w_min[bad][0]:.3e}")
     return a
 
 
@@ -85,7 +104,8 @@ def kron(a, b) -> np.ndarray:
 
 
 def eigh(m) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, or of each member of a stack
+    (N, d, d); eigenvalues ascending along the last axis."""
     a = validate_hermitian(m, "m")
     try:
         w, v = np.linalg.eigh(a)
@@ -94,12 +114,16 @@ def eigh(m) -> HermitianEigenDecomposition:
     return HermitianEigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def hermitian_function(m, f: Callable[[float], float]) -> np.ndarray:
-    """Spectral function V diag(f(lambda)) V^dagger of a Hermitian matrix."""
+def hermitian_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Spectral function V diag(f(lambda)) V^dagger of a Hermitian matrix or stack.
+
+    f is applied once to the whole real eigenvalue array, shape (d,) or
+    (N, d), and must return real values of the same shape.
+    """
     dec = eigh(m)
-    fw = np.array([float(f(x)) for x in dec.eigenvalues])
+    fw = np.asarray(f(dec.eigenvalues), dtype=float)
     v = dec.eigenvectors
-    return (v * fw) @ v.conj().T
+    return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def adjoint(m) -> np.ndarray:

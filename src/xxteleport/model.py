@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import SIGMA, kron
+from .linalg import SIGMA, hermitian_function, kron
 
 KET_00 = np.array([1, 0, 0, 0], dtype=complex)
 KET_11 = np.array([0, 0, 0, 1], dtype=complex)
@@ -23,6 +24,12 @@ PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 for _k in (KET_00, KET_11, PSI_PLUS, PSI_MINUS):
     _k.flags.writeable = False
+
+# The two Pauli-product terms of H: sx(x)sx + sy(x)sy and sz(x)1 + 1(x)sz.
+_COUPLING_TERM = kron(SIGMA[1], SIGMA[1]) + kron(SIGMA[2], SIGMA[2])
+_FIELD_TERM = kron(SIGMA[3], SIGMA[0]) + kron(SIGMA[0], SIGMA[3])
+for _m in (_COUPLING_TERM, _FIELD_TERM):
+    _m.flags.writeable = False
 
 # Largest |beta * energy| the matrix-exponential path accepts before exp overflows.
 MAX_BETA_ENERGY = 700.0
@@ -62,11 +69,14 @@ class ThermalState:
     z: float
 
 
+def _hamiltonian(j, b_m) -> np.ndarray:
+    """H for scalar (j, b_m), shape (4, 4), or for arrays of them, shape (N, 4, 4)."""
+    return 0.5 * (np.multiply.outer(j, _COUPLING_TERM) + np.multiply.outer(b_m, _FIELD_TERM))
+
+
 def build_hamiltonian(p: ModelParams) -> np.ndarray:
     """4x4 Hermitian XX Hamiltonian for the given coupling and field."""
-    sx, sy, sz, s0 = SIGMA[1], SIGMA[2], SIGMA[3], SIGMA[0]
-    return (0.5 * p.j * (kron(sx, sx) + kron(sy, sy))
-            + 0.5 * p.b_m * (kron(sz, s0) + kron(s0, sz)))
+    return _hamiltonian(p.j, p.b_m)
 
 
 def analytic_spectrum(p: ModelParams) -> list[tuple[float, np.ndarray]]:
@@ -118,15 +128,20 @@ def gibbs_state(p: ModelParams) -> ThermalState:
     return ThermalState(rho=rho, z=partition_function(p))
 
 
+def gibbs_state_oracle_stack(params: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal states (N, 4, 4) and partition functions (N,) of N parameter
+    points, by numerically exponentiating each H; cross-validation path only."""
+    j, b_m, beta = np.array([(p.j, p.b_m, p.beta) for p in params], dtype=float).reshape(-1, 3).T
+    if np.any(np.abs(beta * j) > MAX_BETA_ENERGY) or np.any(np.abs(beta * b_m) > MAX_BETA_ENERGY):
+        raise ValueError("beta*energy too large for the matrix-exponential path")
+    em = hermitian_function(_hamiltonian(j, b_m), lambda x: np.exp(-beta[:, None] * x))
+    z = np.trace(em, axis1=1, axis2=2).real
+    rho = em / z[:, None, None]
+    rho.flags.writeable = False
+    return rho, z
+
+
 def gibbs_state_oracle(p: ModelParams) -> ThermalState:
     """Thermal state by numerically exponentiating H; cross-validation path only."""
-    from .linalg import hermitian_function, trace
-
-    beta = p.beta
-    if abs(beta * p.j) > MAX_BETA_ENERGY or abs(beta * p.b_m) > MAX_BETA_ENERGY:
-        raise ValueError("beta*energy too large for the matrix-exponential path")
-    em = hermitian_function(build_hamiltonian(p), lambda x: np.exp(-beta * x))
-    z = trace(em).real
-    rho = em / z
-    rho.flags.writeable = False
-    return ThermalState(rho=rho, z=z)
+    rho, z = gibbs_state_oracle_stack([p])
+    return ThermalState(rho=rho[0], z=float(z[0]))

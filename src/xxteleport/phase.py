@@ -76,7 +76,10 @@ def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
     """Boundary temperature (in units of j) below which the channel beats 2/3.
 
     Bisection on x = J/T over [arcsinh(1), 50]; the bracket is valid for every
-    eta in (0, 1) and the root is unique there.
+    eta in (0, 1) and the root is unique there.  The gap sinh(x) - cosh(eta x)
+    is negative at arcsinh(1) for every eta > 0, but for eta below ~1e-8 it
+    rounds to >= 0 there, so that sign is taken from the analysis, not from
+    the rounded value.
     """
     if j <= 0.0:
         raise ValueError(f"j must be positive, got {j}")
@@ -87,15 +90,15 @@ def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
 
     lo, hi = ARCSINH_1, BRACKET_HIGH
-    f_lo = _boundary_gap(lo, eta)
-    x, f_x = lo, f_lo
+    if not _boundary_gap(hi, eta) > 0.0:
+        raise ValueError(f"boundary bracket [{lo}, {hi}] does not change sign for eta = {eta}")
     for _ in range(_MAX_BISECTIONS):
         x = 0.5 * (lo + hi)
         f_x = _boundary_gap(x, eta)
         if abs(f_x) < ROOT_TOL:
             break
-        if (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f_x
+        if f_x < 0.0:
+            lo = x
         else:
             hi = x
     t_over_j = 1.0 / x

@@ -14,12 +14,14 @@ used as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import SIGMA, kron, validate_density
+from .linalg import SIGMA, stack_of_one, validate_density
 from .model import ModelParams, hyperbolic_weights
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -51,12 +53,35 @@ class PureQubit:
         object.__setattr__(self, "phi", self.phi % (2.0 * np.pi))
 
     def ket(self) -> np.ndarray:
-        half = 0.5 * self.theta
-        return np.array([np.cos(half), np.exp(1j * self.phi) * np.sin(half)])
+        return _kets(self.theta, self.phi)
 
     def density(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
+        return _densities(self.ket())
+
+
+def _kets(theta, phi) -> np.ndarray:
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, broadcast: shape (..., 2)."""
+    half = 0.5 * np.asarray(theta, dtype=float)
+    k = np.empty(np.broadcast_shapes(half.shape, np.shape(phi)) + (2,), dtype=complex)
+    k[..., 0] = np.cos(half)
+    k[..., 1] = np.exp(1j * np.asarray(phi, dtype=float)) * np.sin(half)
+    return k
+
+
+def _densities(kets: np.ndarray) -> np.ndarray:
+    """|k><k| for kets (..., 2): shape (..., 2, 2)."""
+    return kets[..., :, None] * kets[..., None, :].conj()
+
+
+def _input_kets(psis: Sequence[PureQubit]) -> np.ndarray:
+    """Kets (N, 2) of validated input qubits."""
+    angles = np.array([(q.theta, q.phi) for q in psis], dtype=float).reshape(-1, 2)
+    return _kets(angles[:, 0], angles[:, 1])
+
+
+def _overlaps(kets: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re <k|op|k>, broadcast over the leading axes of kets (..., 2) and ops (..., 2, 2)."""
+    return np.einsum("...a,...ab,...b->...", kets.conj(), ops, kets).real
 
 
 @dataclass(frozen=True)
@@ -121,39 +146,68 @@ _BELL_SET = BellProjectorSet(
 )
 
 
+# Projectors in channel index order.
+_BELL = np.stack(_BELL_SET.as_tuple)
+# Row-major vec(s rho s) = (s (x) s^T) vec(rho).  Row j holds that 4x4 map for
+# s_j, transposed so that it acts on row vectors, and flattened.
+_PAULI_CONJUGATIONS = np.stack([np.kron(s, s.T).T for s in SIGMA]).reshape(4, 16)
+for _m in (_BELL, _PAULI_CONJUGATIONS):
+    _m.flags.writeable = False
+
+
 def bell_projectors() -> BellProjectorSet:
     return _BELL_SET
 
 
+def bell_weights_stack(rhos) -> np.ndarray:
+    """Bell weights p_j = tr(E_j rho), shape (N, 4), of each 4x4 density matrix
+    in a stack (N, 4, 4); roundoff clamped at zero, each row summing to one."""
+    rhos = validate_density(rhos, dim=4)
+    # tr(E rho) = sum_ab E_ab rho_ba, and every E is real symmetric.
+    p = (rhos.reshape(-1, 16) @ _BELL.reshape(4, 16).T).real
+    bad = p < -1e-12
+    if bad.any():
+        raise ValueError(f"negative Bell weight {p[bad][0]:.3e}")
+    p = np.maximum(p, 0.0)
+    total = p.sum(axis=1)
+    bad = np.abs(total - 1.0) > 1e-12
+    if bad.any():
+        raise ValueError(f"channel weights must sum to 1, got {total[bad][0]:.15g}")
+    return p
+
+
 def bell_weights(rho) -> ChannelWeights:
     """p_j = tr(E_j rho) for a 4x4 density matrix, roundoff clamped at zero."""
-    rho = validate_density(rho, dim=4)
-    ps = []
-    for e in _BELL_SET.as_tuple:
-        val = float(np.trace(e @ rho).real)
-        if val < -1e-12:
-            raise ValueError(f"negative Bell weight {val:.3e}")
-        ps.append(max(val, 0.0))
-    return ChannelWeights(p=tuple(ps))
+    return ChannelWeights(p=tuple(float(x) for x in bell_weights_stack(stack_of_one(rho, "rho"))[0]))
 
 
 def _pauli_mix(weights: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=complex)
-    for w, s in zip(weights, SIGMA):
-        out += w * (s @ rho_in @ s)
-    return out
+    """sum_j p_j s_j rho_in s_j for N channels, weights (N, 4), each applied to
+    K inputs: rho_in (N, K, 2, 2), or (1, K, 2, 2) to share them.  Returns
+    (N, K, 2, 2)."""
+    channels = (weights @ _PAULI_CONJUGATIONS).reshape(-1, 4, 4)
+    out = rho_in.reshape(rho_in.shape[0], -1, 4) @ channels
+    return out.reshape(out.shape[:2] + (2, 2))
+
+
+def apply_channel_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
+    """Teleportation outputs (N, 2, 2): input psis[n] through the channel of resource rhos[n]."""
+    return _pauli_mix(bell_weights_stack(rhos), _densities(_input_kets(psis))[:, None])[:, 0]
 
 
 def apply_channel(rho, psi: PureQubit) -> np.ndarray:
     """Teleportation output sum_j p_j s_j |psi><psi| s_j as a 2x2 density matrix."""
-    w = np.asarray(bell_weights(rho).p)
-    return _pauli_mix(w, psi.density())
+    return apply_channel_stack(stack_of_one(rho, "rho"), [psi])[0]
+
+
+def channel_fidelity_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
+    """<psi_n| Lambda_n(|psi_n><psi_n|) |psi_n>, shape (N,), for resources rhos[n]."""
+    return _overlaps(_input_kets(psis), apply_channel_stack(rhos, psis))
 
 
 def channel_fidelity(rho, psi: PureQubit) -> float:
     """<psi| Lambda(|psi><psi|) |psi> for the channel defined by the resource rho."""
-    k = psi.ket()
-    return float(np.real(k.conj() @ apply_channel(rho, psi) @ k))
+    return float(channel_fidelity_stack(stack_of_one(rho, "rho"), [psi])[0])
 
 
 def fidelity_from_weights(weights, cos_theta, phi):
@@ -164,11 +218,15 @@ def fidelity_from_weights(weights, cos_theta, phi):
     """
     w = np.asarray(weights, dtype=float)
     u2 = np.square(cos_theta)
-    s2 = 1.0 - u2
-    return (w[0]
-            + w[1] * s2 * np.square(np.cos(phi))
-            + w[2] * s2 * np.square(np.sin(phi))
-            + w[3] * u2)
+    # cos^2 phi = (1 + cos 2phi)/2 and sin^2 phi = (1 - cos 2phi)/2: one trig
+    # call per sample.  The in-place steps keep the temporaries few.
+    f = np.cos(np.multiply(2.0, phi))
+    f *= 0.5 * (w[1] - w[2])
+    f += 0.5 * (w[1] + w[2])
+    f *= 1.0 - u2
+    f += w[3] * u2
+    f += w[0]
+    return f
 
 
 def output_fidelity(p: ModelParams, theta: float) -> float:
@@ -217,58 +275,81 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     return FidelityReport(average=est, method="monte-carlo", samples=n, stderr=err)
 
 
-def quadrature_average_fidelity(rho) -> FidelityReport:
-    """Deterministic Bloch-sphere average through the actual channel machinery.
-
-    The phi average is exact (uniform four-point mean of a degree-2
-    trigonometric polynomial); the cos(theta) integral uses Gauss-Legendre
-    nodes, exact for the quadratic integrand.  No closed form is consulted.
-    """
-    rho = validate_density(rho, dim=4)
-    w = np.asarray(bell_weights(rho).p)
+@functools.cache
+def _quadrature_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre weights in cos(theta), and the fixed 16x4 input kets and
+    density matrices, flattened to (64, 2) and (64, 2, 2).  Built on first use:
+    numpy.polynomial is not otherwise imported."""
     nodes, gl_weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    total = 0.0
-    for u, gw in zip(nodes, gl_weights):
-        theta = float(np.arccos(u))
-        band = 0.0
-        for phi in _PHI_MEAN_ANGLES:
-            psi = PureQubit(theta=theta, phi=phi)
-            k = psi.ket()
-            out = _pauli_mix(w, psi.density())
-            band += float(np.real(k.conj() @ out @ k))
-        total += gw * band / len(_PHI_MEAN_ANGLES)
-    return FidelityReport(average=0.5 * total, method="quadrature")
+    kets = _kets(np.arccos(nodes)[:, None], np.array(_PHI_MEAN_ANGLES)).reshape(-1, 2)
+    table = (gl_weights, kets, _densities(kets))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def quadrature_average_fidelity_stack(rhos) -> np.ndarray:
+    """Bloch-sphere average fidelity, shape (N,), of the channel of each resource
+    in a stack (N, 4, 4), by quadrature through the channel machinery.
+
+    Each of the fixed inputs goes through every resource's Pauli channel.  The
+    phi average is exact (uniform four-point mean of a degree-2 trigonometric
+    polynomial); the cos(theta) integral uses Gauss-Legendre nodes, exact for
+    the quadratic integrand.  No closed form is consulted.
+    """
+    gl_weights, kets, rho_in = _quadrature_inputs()
+    out = _pauli_mix(bell_weights_stack(rhos), rho_in[None])
+    band = _overlaps(kets, out).reshape(-1, _GL_NODES, len(_PHI_MEAN_ANGLES)).mean(axis=2)
+    return 0.5 * (band @ gl_weights)
+
+
+def quadrature_average_fidelity(rho) -> FidelityReport:
+    """Deterministic Bloch-sphere average through the actual channel machinery
+    (see quadrature_average_fidelity_stack)."""
+    avg = quadrature_average_fidelity_stack(stack_of_one(rho, "rho"))[0]
+    return FidelityReport(average=float(avg), method="quadrature")
 
 
 # Pauli corrections per Bell outcome, index-matched to the projector set; this
 # assignment is the one that turns the |Psi-> resource into the identity
 # channel (phases are unobservable at the density-matrix level).
-_CORRECTIONS = (SIGMA[0], SIGMA[1], SIGMA[2], SIGMA[3])
+_CORRECTIONS = np.stack(SIGMA)
+# Bell projectors on (input, A), identity on B: the measurement of the protocol.
+_MEASUREMENT = np.stack([np.kron(e, SIGMA[0]) for e in _BELL_SET.as_tuple])
+for _m in (_CORRECTIONS, _MEASUREMENT):
+    _m.flags.writeable = False
 
 
 def _trace_out_measured(m8: np.ndarray) -> np.ndarray:
-    """Partial trace over the first two qubits of an 8x8 operator."""
-    return m8.reshape(4, 2, 4, 2).trace(axis1=0, axis2=2)
+    """Partial trace over the first two qubits of 8x8 operators (..., 8, 8)."""
+    return m8.reshape(m8.shape[:-2] + (4, 2, 4, 2)).trace(axis1=-4, axis2=-2)
+
+
+def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> tuple[np.ndarray, np.ndarray]:
+    """Literal three-qubit run of the protocol for each pair (rhos[n], psis[n]).
+
+    Builds |psi><psi| (x) rho on input (x) A (x) B, projects (input, A) onto
+    each Bell state, applies the outcome-conditioned Pauli correction on B,
+    and sums the weighted post-measurement states.  Returns the outputs
+    (N, 2, 2) and the four Bell outcome probabilities (N, 4).
+    """
+    rhos = validate_density(rhos, dim=4)
+    rho_in = _densities(_input_kets(psis))
+    total = np.einsum("nab,ncd->nacbd", rho_in, rhos).reshape(-1, 8, 8)
+    post = _MEASUREMENT @ total[:, None] @ _MEASUREMENT
+    probs = np.trace(post, axis1=-2, axis2=-1).real
+    collapsed = _trace_out_measured(post)
+    out = (_CORRECTIONS @ collapsed @ _CORRECTIONS.conj().swapaxes(-1, -2)).sum(axis=1)
+    return out, probs
 
 
 def protocol_oracle(rho, psi: PureQubit, return_outcomes: bool = False):
     """Literal three-qubit run of the protocol on input (x) A (x) B.
 
-    Projects (input, A) onto each Bell state, applies the outcome-conditioned
-    Pauli correction on B, and sums the weighted post-measurement states.
     Returns the 2x2 output density matrix, optionally with the four Bell
-    outcome probabilities.
+    outcome probabilities (see protocol_oracle_stack).
     """
-    rho = validate_density(rho, dim=4)
-    total = kron(psi.density(), rho)
-    out = np.zeros((2, 2), dtype=complex)
-    probs = []
-    for e, correction in zip(_BELL_SET.as_tuple, _CORRECTIONS):
-        proj = kron(e, SIGMA[0])
-        post = proj @ total @ proj
-        probs.append(float(np.trace(post).real))
-        collapsed = _trace_out_measured(post)
-        out += correction @ collapsed @ correction.conj().T
+    out, probs = protocol_oracle_stack(stack_of_one(rho, "rho"), [psi])
     if return_outcomes:
-        return out, tuple(probs)
-    return out
+        return out[0], tuple(float(q) for q in probs[0])
+    return out[0]

@@ -2,7 +2,9 @@
 
 Every closed form in the package has an independent numerical route; this
 module runs them against each other on seeded random grids and reports the
-worst deviation per check.  The CLI `verify` subcommand is a thin wrapper.
+worst deviation per check.  Each oracle runs once over the whole grid as a
+stacked (N, d, d) array computation, and each check is one array comparison.
+The CLI `verify` subcommand is a thin wrapper.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence, thermal_concurrence
-from .model import ModelParams, gibbs_state, gibbs_state_oracle
+from .entanglement import concurrence_stack, thermal_concurrence
+from .model import ModelParams, gibbs_state, gibbs_state_oracle_stack
 from .phase import TABLE1_REFERENCE, reproduce_table1
-from .teleport import (PureQubit, apply_channel, average_fidelity,
-                       channel_fidelity, mc_average_fidelity, output_fidelity,
-                       protocol_oracle, quadrature_average_fidelity)
+from .teleport import (PureQubit, apply_channel_stack, average_fidelity,
+                       channel_fidelity_stack, mc_average_fidelity, output_fidelity,
+                       protocol_oracle_stack, quadrature_average_fidelity_stack)
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "gibbs-analytic-vs-matrix-exponential": 1e-10,
@@ -63,62 +65,56 @@ def random_pure_qubit(rng: np.random.Generator) -> PureQubit:
                      phi=float(rng.uniform(0.0, 2.0 * np.pi)))
 
 
+def _max_abs(a, b) -> float:
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+
+
 def run_verification(seed: int = 0, grid_size: int = 1000,
                      tolerances: dict[str, float] | None = None) -> list[CheckResult]:
     """Run every consistency check; deterministic for a fixed seed."""
+    if grid_size < 1:
+        raise ValueError(f"grid size must be >= 1, got {grid_size}")
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
     rng = np.random.default_rng(seed)
-    results = []
-
+    # Draw order is fixed: the grid points, then a (state, input) pair per
+    # point, then one input per point, then the Monte Carlo seeds.
     params = [random_params(rng) for _ in range(grid_size)]
+    pairs = [(random_density(rng), random_pure_qubit(rng)) for _ in range(grid_size)]
+    inputs = [random_pure_qubit(rng) for _ in params]
+    mc_seeds = [int(rng.integers(2**31)) for _ in params[:_MC_POINTS]]
 
-    dev = max(np.abs(gibbs_state(p).rho - gibbs_state_oracle(p).rho).max() for p in params)
-    results.append(CheckResult("gibbs-analytic-vs-matrix-exponential", float(dev),
-                               tol["gibbs-analytic-vs-matrix-exponential"]))
+    thermal = np.stack([gibbs_state(p).rho for p in params])
+    mixed = np.stack([rho for rho, _ in pairs])
+    mixed_inputs = [psi for _, psi in pairs]
+    closed_average = np.array([average_fidelity(p).average for p in params])
 
-    dev = max(abs(thermal_concurrence(p) - concurrence(gibbs_state(p).rho).value)
-              for p in params)
-    results.append(CheckResult("concurrence-closed-form-vs-spin-flip", float(dev),
-                               tol["concurrence-closed-form-vs-spin-flip"]))
+    dev = {
+        "gibbs-analytic-vs-matrix-exponential":
+            _max_abs(thermal, gibbs_state_oracle_stack(params)[0]),
+        "concurrence-closed-form-vs-spin-flip":
+            _max_abs([thermal_concurrence(p) for p in params], concurrence_stack(thermal)[1]),
+        "channel-vs-protocol-oracle":
+            _max_abs(protocol_oracle_stack(mixed, mixed_inputs)[0],
+                     apply_channel_stack(mixed, mixed_inputs)),
+        "pointwise-fidelity-vs-channel":
+            _max_abs([output_fidelity(p, psi.theta) for p, psi in zip(params, inputs)],
+                     channel_fidelity_stack(thermal, inputs)),
+        "average-fidelity-vs-quadrature":
+            _max_abs(closed_average, quadrature_average_fidelity_stack(thermal)),
+    }
 
-    dev = 0.0
-    for _ in range(grid_size):
-        rho = random_density(rng)
-        psi = random_pure_qubit(rng)
-        dev = max(dev, float(np.abs(protocol_oracle(rho, psi) - apply_channel(rho, psi)).max()))
-    results.append(CheckResult("channel-vs-protocol-oracle", dev,
-                               tol["channel-vs-protocol-oracle"]))
+    mc = [mc_average_fidelity(rho, _MC_SAMPLES, seed=s) for rho, s in zip(thermal, mc_seeds)]
+    gap = np.abs(np.array([r.average for r in mc]) - closed_average[:len(mc)])
+    stderr = np.array([r.stderr for r in mc])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pull = np.where(stderr > 0.0, gap / stderr, np.where(gap == 0.0, 0.0, np.inf))
+    dev["average-fidelity-vs-monte-carlo"] = float(pull.max())
 
-    dev = 0.0
-    for p in params:
-        psi = random_pure_qubit(rng)
-        dev = max(dev, abs(output_fidelity(p, psi.theta)
-                           - channel_fidelity(gibbs_state(p).rho, psi)))
-    results.append(CheckResult("pointwise-fidelity-vs-channel", dev,
-                               tol["pointwise-fidelity-vs-channel"]))
+    points = reproduce_table1()
+    dev["table1-reproduction"] = float(max(
+        max(abs(point.t_critical_over_j - t_ref) / t_ref, abs(point.residual_concurrence - cr_ref))
+        for point, (_, t_ref, cr_ref) in zip(points, TABLE1_REFERENCE)))
 
-    dev = max(abs(average_fidelity(p).average
-                  - quadrature_average_fidelity(gibbs_state(p).rho).average)
-              for p in params)
-    results.append(CheckResult("average-fidelity-vs-quadrature", float(dev),
-                               tol["average-fidelity-vs-quadrature"]))
-
-    dev = 0.0
-    for p in params[:_MC_POINTS]:
-        mc = mc_average_fidelity(gibbs_state(p).rho, _MC_SAMPLES,
-                                 seed=int(rng.integers(2**31)))
-        gap = abs(mc.average - average_fidelity(p).average)
-        dev = max(dev, gap / mc.stderr if mc.stderr > 0.0 else (0.0 if gap == 0.0 else np.inf))
-    results.append(CheckResult("average-fidelity-vs-monte-carlo", dev,
-                               tol["average-fidelity-vs-monte-carlo"]))
-
-    dev = 0.0
-    for point, (_, t_ref, cr_ref) in zip(reproduce_table1(), TABLE1_REFERENCE):
-        dev = max(dev,
-                  abs(point.t_critical_over_j - t_ref) / t_ref,
-                  abs(point.residual_concurrence - cr_ref))
-    results.append(CheckResult("table1-reproduction", dev, tol["table1-reproduction"]))
-
-    return results
+    return [CheckResult(name, dev[name], tol[name]) for name in DEFAULT_TOLERANCES]

@@ -5,7 +5,7 @@ import pytest
 
 from xxteleport.entanglement import thermal_concurrence
 from xxteleport.model import ModelParams
-from xxteleport.phase import (ARCSINH_1, TABLE1_REFERENCE, NoClassicalAdvantageError,
+from xxteleport.phase import (ARCSINH_1, ROOT_TOL, TABLE1_REFERENCE, NoClassicalAdvantageError,
                               better_than_classical, critical_temperature,
                               reproduce_table1, residual_concurrence, sweep)
 from xxteleport.teleport import average_fidelity
@@ -77,6 +77,19 @@ class TestCriticalTemperature:
             critical_temperature(0.0)
         with pytest.raises(ValueError):
             critical_temperature(-0.3)
+
+    @pytest.mark.parametrize("eta", [5e-324, 1e-300, 1e-9, 1e-8])
+    def test_tiny_eta_limit(self, eta):
+        # the gap at arcsinh(1) rounds to >= 0 here; the root still tends to
+        # arcsinh(1), not to the far end of the bracket
+        point = critical_temperature(eta)
+        assert abs(point.t_critical_over_j - 1.0 / ARCSINH_1) < 1e-9
+        assert point.solver_residual <= ROOT_TOL
+        assert point.residual_concurrence < 1e-9
+
+    def test_bracket_without_sign_change_rejected(self):
+        with pytest.raises(ValueError, match="does not change sign"):
+            critical_temperature(float("nan"))
 
     def test_bad_coupling(self):
         with pytest.raises(ValueError):

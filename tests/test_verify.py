@@ -1,0 +1,200 @@
+"""The array-form verify suite and the stacked oracles it runs on."""
+
+import numpy as np
+import pytest
+
+import xxteleport.entanglement as entanglement
+import xxteleport.model as model
+import xxteleport.teleport as teleport
+import xxteleport.verify as verify
+from xxteleport.entanglement import concurrence, concurrence_stack
+from xxteleport.linalg import eigh, hermitian_function, validate_density
+from xxteleport.model import (ModelParams, ThermalState, gibbs_state, gibbs_state_oracle,
+                              gibbs_state_oracle_stack)
+from xxteleport.teleport import (FidelityReport, apply_channel, apply_channel_stack,
+                                 bell_weights, bell_weights_stack, channel_fidelity,
+                                 channel_fidelity_stack, protocol_oracle,
+                                 protocol_oracle_stack, quadrature_average_fidelity,
+                                 quadrature_average_fidelity_stack)
+from xxteleport.verify import (DEFAULT_TOLERANCES, random_density, random_params,
+                               random_pure_qubit, run_verification)
+
+SHIFT = 1e-8
+
+
+def _shift_gibbs(original):
+    def shifted(p):
+        # An imaginary, antisymmetric coherence keeps rho Hermitian with the
+        # same trace and Bell weights, so only the Gibbs check can see it.
+        state = original(p)
+        rho = state.rho.copy()
+        rho[1, 2] += 1j * SHIFT
+        rho[2, 1] -= 1j * SHIFT
+        return ThermalState(rho=rho, z=state.z)
+    return shifted
+
+
+def _shift_average(original):
+    # downwards, so the report stays inside [0, 1]
+    return lambda p: FidelityReport(average=original(p).average - SHIFT, method="analytic")
+
+
+# check, closed form it compares against, modules whose binding is shifted, shift.
+# The channel stays unshifted inside teleport: the pointwise check reads the
+# channel as its oracle, by design.
+MUTATIONS = [
+    ("gibbs-analytic-vs-matrix-exponential", "gibbs_state", (model, verify), _shift_gibbs),
+    ("concurrence-closed-form-vs-spin-flip", "thermal_concurrence", (entanglement, verify),
+     lambda f: lambda p: f(p) + SHIFT),
+    ("channel-vs-protocol-oracle", "apply_channel_stack", (verify,),
+     lambda f: lambda rhos, psis: f(rhos, psis) + SHIFT),
+    ("pointwise-fidelity-vs-channel", "output_fidelity", (teleport, verify),
+     lambda f: lambda p, theta: f(p, theta) + SHIFT),
+    ("average-fidelity-vs-quadrature", "average_fidelity", (teleport, verify), _shift_average),
+]
+
+
+@pytest.mark.parametrize("check,attr,modules,shift", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_oracle_independent_of_closed_form(monkeypatch, check, attr, modules, shift):
+    original = getattr(verify, attr)
+    for mod in modules:
+        monkeypatch.setattr(mod, attr, shift(original))
+    results = {r.name: r for r in run_verification(seed=0, grid_size=40)}
+    assert list(results) == list(DEFAULT_TOLERANCES)
+    assert [name for name, r in results.items() if not r.passed] == [check]
+    assert results[check].max_deviation == pytest.approx(SHIFT, rel=1e-6)
+
+
+def test_same_points_per_seed():
+    results = {r.name: r.max_deviation for r in run_verification(seed=122, grid_size=50)}
+    assert results["average-fidelity-vs-monte-carlo"] == pytest.approx(4.040656877539775,
+                                                                       abs=1e-9)
+    assert results["table1-reproduction"] == 4.4897548790716625e-06
+
+
+def test_rejects_empty_grid():
+    with pytest.raises(ValueError, match="grid size"):
+        run_verification(grid_size=0)
+
+
+@pytest.fixture
+def stack():
+    """Thermal and random resources, with one random input per resource."""
+    rng = np.random.default_rng(50)
+    params = [random_params(rng) for _ in range(6)]
+    rhos = np.stack([gibbs_state(p).rho for p in params]
+                    + [random_density(rng) for _ in range(6)])
+    psis = [random_pure_qubit(rng) for _ in range(len(rhos))]
+    return params, rhos, psis
+
+
+class TestStackedMatchesScalar:
+    TOL = 1e-15
+
+    def test_gibbs_oracle(self, stack):
+        params, _, _ = stack
+        rhos, zs = gibbs_state_oracle_stack(params)
+        for p, rho, z in zip(params, rhos, zs):
+            one = gibbs_state_oracle(p)
+            assert np.abs(rho - one.rho).max() <= self.TOL
+            assert abs(z - one.z) <= self.TOL * z
+
+    def test_concurrence(self, stack):
+        _, rhos, _ = stack
+        lams, values = concurrence_stack(rhos)
+        for rho, lam, value in zip(rhos, lams, values):
+            one = concurrence(rho)
+            assert np.abs(lam - one.lambdas).max() <= self.TOL
+            assert abs(value - one.value) <= self.TOL
+
+    def test_bell_weights(self, stack):
+        _, rhos, _ = stack
+        for rho, row in zip(rhos, bell_weights_stack(rhos)):
+            assert np.abs(row - bell_weights(rho).p).max() <= self.TOL
+
+    def test_channel(self, stack):
+        _, rhos, psis = stack
+        outs = apply_channel_stack(rhos, psis)
+        fids = channel_fidelity_stack(rhos, psis)
+        for rho, psi, out, fid in zip(rhos, psis, outs, fids):
+            assert np.abs(out - apply_channel(rho, psi)).max() <= self.TOL
+            assert abs(fid - channel_fidelity(rho, psi)) <= self.TOL
+
+    def test_protocol(self, stack):
+        _, rhos, psis = stack
+        outs, probs = protocol_oracle_stack(rhos, psis)
+        for rho, psi, out, prob in zip(rhos, psis, outs, probs):
+            one_out, one_probs = protocol_oracle(rho, psi, return_outcomes=True)
+            assert np.abs(out - one_out).max() <= self.TOL
+            assert np.abs(prob - one_probs).max() <= self.TOL
+
+    def test_quadrature(self, stack):
+        _, rhos, _ = stack
+        for rho, avg in zip(rhos, quadrature_average_fidelity_stack(rhos)):
+            assert abs(avg - quadrature_average_fidelity(rho).average) <= self.TOL
+
+    def test_linalg(self, stack):
+        _, rhos, _ = stack
+        assert np.array_equal(validate_density(rhos, dim=4), rhos)
+        dec = eigh(rhos)
+        roots = hermitian_function(rhos, lambda x: np.sqrt(np.maximum(x, 0.0)))
+        for rho, w, v, root in zip(rhos, dec.eigenvalues, dec.eigenvectors, roots):
+            one = eigh(rho)
+            assert np.abs(w - one.eigenvalues).max() <= self.TOL
+            assert np.abs(v - one.eigenvectors).max() <= self.TOL
+            one_root = hermitian_function(rho, lambda x: np.sqrt(np.maximum(x, 0.0)))
+            assert np.abs(root - one_root).max() <= self.TOL
+
+
+def _non_hermitian(rho):
+    rho = rho.copy()
+    rho[0, 1] += 0.1
+    return rho
+
+
+def _bad_trace(rho):
+    return 1.5 * rho
+
+
+def _negative_eigenvalue(rho):
+    return np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+
+
+STACK_ORACLES = {
+    "validate_density": (lambda rhos, psis: validate_density(rhos, dim=4),
+                         lambda rho, psi: validate_density(rho, dim=4)),
+    "concurrence": (lambda rhos, psis: concurrence_stack(rhos),
+                    lambda rho, psi: concurrence(rho)),
+    "bell_weights": (lambda rhos, psis: bell_weights_stack(rhos),
+                     lambda rho, psi: bell_weights(rho)),
+    "apply_channel": (apply_channel_stack, apply_channel),
+    "protocol_oracle": (protocol_oracle_stack, protocol_oracle),
+    "quadrature": (lambda rhos, psis: quadrature_average_fidelity_stack(rhos),
+                   lambda rho, psi: quadrature_average_fidelity(rho)),
+}
+
+
+@pytest.mark.parametrize("spoil", [_non_hermitian, _bad_trace, _negative_eigenvalue])
+@pytest.mark.parametrize("oracle", list(STACK_ORACLES))
+def test_bad_member_fails_like_scalar(stack, oracle, spoil):
+    _, rhos, psis = stack
+    stacked, scalar = STACK_ORACLES[oracle]
+    bad = spoil(rhos[3])
+    with pytest.raises(ValueError) as one:
+        scalar(bad, psis[3])
+    rhos = rhos.copy()
+    rhos[3] = bad
+    with pytest.raises(ValueError) as many:
+        stacked(rhos, psis)
+    assert str(many.value) == str(one.value)
+
+
+def test_gibbs_oracle_bad_member_fails_like_scalar(stack):
+    params, _, _ = stack
+    cold = ModelParams(j=1.0, b_m=0.0, t=1e-4)
+    assert abs(cold.beta * cold.j) > model.MAX_BETA_ENERGY
+    with pytest.raises(ValueError) as one:
+        gibbs_state_oracle(cold)
+    with pytest.raises(ValueError) as many:
+        gibbs_state_oracle_stack(params[:2] + [cold] + params[2:])
+    assert str(many.value) == str(one.value)
