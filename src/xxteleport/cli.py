@@ -21,7 +21,7 @@ from . import __version__
 from .entanglement import concurrence, thermal_concurrence
 from .model import ModelParams, gibbs_state
 from .phase import (TABLE1_REFERENCE, TABLE1_TOLERANCE, NoClassicalAdvantageError,
-                    critical_temperature, reproduce_table1, sweep)
+                    critical_temperature, reproduce_table1, sweep, table1_deviations)
 from .teleport import (PureQubit, apply_channel_stack, average_fidelity,
                        mc_average_fidelity, output_fidelity, protocol_oracle_stack)
 from .verify import run_verification
@@ -147,16 +147,15 @@ def _cmd_critical(args) -> OutputEnvelope:
 
 
 def _cmd_table1(args) -> OutputEnvelope:
-    rows = []
-    for point, (eta, t_ref, cr_ref) in zip(reproduce_table1(), TABLE1_REFERENCE):
-        ok = (abs(point.t_critical_over_j - t_ref) / t_ref <= TABLE1_TOLERANCE
-              and abs(point.residual_concurrence - cr_ref) <= TABLE1_TOLERANCE)
-        rows.append({"eta": eta,
-                     "t_critical_over_j": point.t_critical_over_j,
-                     "residual_concurrence": point.residual_concurrence,
-                     "reference_t_over_j": t_ref,
-                     "reference_c_r": cr_ref,
-                     "status": "pass" if ok else "fail"})
+    points = reproduce_table1()
+    rows = [{"eta": eta,
+             "t_critical_over_j": point.t_critical_over_j,
+             "residual_concurrence": point.residual_concurrence,
+             "reference_t_over_j": t_ref,
+             "reference_c_r": cr_ref,
+             "status": "pass" if deviation <= TABLE1_TOLERANCE else "fail"}
+            for point, (eta, t_ref, cr_ref), deviation
+            in zip(points, TABLE1_REFERENCE, table1_deviations(points))]
     meta = _metadata("table1", {"tolerance": TABLE1_TOLERANCE})
     return OutputEnvelope(meta, rows)
 
@@ -167,11 +166,10 @@ def _cmd_sweep(args) -> OutputEnvelope:
         raise ValueError(f"step counts must be positive, got {args.steps}")
     etas = np.linspace(args.eta_range[0], args.eta_range[1], eta_steps)
     ts = np.linspace(args.t_range[0], args.t_range[1], t_steps)
-    rows = [{"j": r.j, "b_m": r.b_m, "t": r.t,
-             "concurrence": r.concurrence,
-             "avg_fidelity": r.avg_fidelity,
-             "beats_classical": r.beats_classical}
-            for r in sweep(args.j, [float(e) for e in etas], [float(t) for t in ts])]
+    columns = sweep(args.j, etas, ts)
+    # .tolist() yields Python scalars: _fmt prints an np.bool_ as True, json.dumps rejects it.
+    rows = [dict(zip(columns, values))
+            for values in zip(*(column.tolist() for column in columns.values()))]
     meta = _metadata("sweep", {"j": args.j,
                                "eta_range": list(args.eta_range),
                                "t_range": list(args.t_range),

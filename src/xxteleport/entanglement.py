@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIGMA, hermitian_function, kron, stack_of_one, validate_density
+from .linalg import SIGMA, hermitian_function, stack_of_one, validate_density
 from .model import ModelParams, hyperbolic_weights
 
 # sigma_y (x) sigma_y, the spin-flip conjugation.
-SPIN_FLIP = kron(SIGMA[2], SIGMA[2])
+SPIN_FLIP = np.kron(SIGMA[2], SIGMA[2])
 SPIN_FLIP.flags.writeable = False
 
 # Spectrum values of the spin-flipped product above this (negative) threshold
@@ -66,14 +66,20 @@ def concurrence(rho) -> ConcurrenceBreakdown:
     return ConcurrenceBreakdown(lambdas=tuple(float(x) for x in lam[0]), value=float(value[0]))
 
 
-def thermal_concurrence(p: ModelParams) -> float:
-    """Closed-form concurrence of the XX thermal state.
+def thermal_concurrence_array(j, b_m, t):
+    """Closed-form concurrence of the XX thermal state over broadcastable
+    (j, b_m, t) arrays of valid ModelParams fields (not checked here).
 
     Depends on |J| and |B_m| only, so it is exactly invariant under sign
     flips of either parameter.
     """
-    ch_b, ch_j, sh_j, scale = hyperbolic_weights(p)
-    return max((abs(sh_j) - scale) / (ch_b + ch_j), 0.0)
+    ch_b, ch_j, sh_j, scale = hyperbolic_weights(j, b_m, t)
+    return np.maximum((abs(sh_j) - scale) / (ch_b + ch_j), 0.0)
+
+
+def thermal_concurrence(p: ModelParams) -> float:
+    """Closed-form concurrence of the XX thermal state at one parameter point."""
+    return float(thermal_concurrence_array(p.j, p.b_m, p.t))
 
 
 def zero_entanglement_temperature(j: float) -> float:

@@ -7,7 +7,6 @@ silently non-Hermitian results downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +16,6 @@ HERMITIAN_ATOL = 1e-12
 DENSITY_ATOL = 1e-12
 
 ALLOWED_DIMS = (2, 4, 8)
-MAX_DIM = 8
 
 # Pauli matrices sigma_0..sigma_3 (identity, x, y, z).
 SIGMA = (
@@ -28,14 +26,6 @@ SIGMA = (
 )
 for _s in SIGMA:
     _s.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Eigenvalues in ascending order; eigenvectors as orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _square_stack(a: np.ndarray, name: str) -> np.ndarray:
@@ -55,11 +45,6 @@ def stack_of_one(m, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a[None]
-
-
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex square ndarray of dimension 2, 4 or 8."""
-    return _square_stack(stack_of_one(m, name)[0], name)
 
 
 def validate_hermitian(m, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -91,27 +76,16 @@ def validate_density(rho, dim: int | None = None, name: str = "rho",
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; inputs must be 2- or 4-dimensional, product at most 8."""
-    a = as_square_matrix(a, "a")
-    b = as_square_matrix(b, "b")
-    if a.shape[0] not in (2, 4) or b.shape[0] not in (2, 4):
-        raise ValueError("kron factors must have dimension 2 or 4")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"kron product dimension {a.shape[0] * b.shape[0]} exceeds {MAX_DIM}")
-    return np.kron(a, b)
-
-
-def eigh(m) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each member of a stack
-    (N, d, d); eigenvalues ascending along the last axis."""
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (eigenvalues, eigenvectors) of a Hermitian matrix, or
+    of each member of a stack (N, d, d): eigenvalues ascending along the last
+    axis, eigenvectors as orthonormal columns."""
     a = validate_hermitian(m, "m")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return HermitianEigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def hermitian_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -120,23 +94,6 @@ def hermitian_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     f is applied once to the whole real eigenvalue array, shape (d,) or
     (N, d), and must return real values of the same shape.
     """
-    dec = eigh(m)
-    fw = np.asarray(f(dec.eigenvalues), dtype=float)
-    v = dec.eigenvectors
+    w, v = eigh(m)
+    fw = np.asarray(f(w), dtype=float)
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def adjoint(m) -> np.ndarray:
-    return as_square_matrix(m).conj().T
-
-
-def trace(m) -> complex:
-    return complex(np.trace(as_square_matrix(m)))
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_square_matrix(a, "a")
-    b = as_square_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import SIGMA, hermitian_function, kron
+from .linalg import SIGMA, hermitian_function
 
 KET_00 = np.array([1, 0, 0, 0], dtype=complex)
 KET_11 = np.array([0, 0, 0, 1], dtype=complex)
@@ -26,10 +26,12 @@ for _k in (KET_00, KET_11, PSI_PLUS, PSI_MINUS):
     _k.flags.writeable = False
 
 # The two Pauli-product terms of H: sx(x)sx + sy(x)sy and sz(x)1 + 1(x)sz.
-_COUPLING_TERM = kron(SIGMA[1], SIGMA[1]) + kron(SIGMA[2], SIGMA[2])
-_FIELD_TERM = kron(SIGMA[3], SIGMA[0]) + kron(SIGMA[0], SIGMA[3])
+_COUPLING_TERM = np.kron(SIGMA[1], SIGMA[1]) + np.kron(SIGMA[2], SIGMA[2])
+_FIELD_TERM = np.kron(SIGMA[3], SIGMA[0]) + np.kron(SIGMA[0], SIGMA[3])
 for _m in (_COUPLING_TERM, _FIELD_TERM):
     _m.flags.writeable = False
+
+_BOOLS = (bool, np.bool_)
 
 # Largest |beta * energy| the matrix-exponential path accepts before exp overflows.
 MAX_BETA_ENERGY = 700.0
@@ -44,10 +46,20 @@ class ModelParams:
     t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.j) and math.isfinite(self.b_m) and math.isfinite(self.t)):
+        j, b_m, t = self.j, self.b_m, self.t
+        if isinstance(j, _BOOLS) or isinstance(b_m, _BOOLS) or isinstance(t, _BOOLS):
+            raise ValueError("model parameters must be numbers, not bools")
+        if not (math.isfinite(j) and math.isfinite(b_m) and math.isfinite(t)):
             raise ValueError("model parameters must be finite")
-        if self.t <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.t}")
+        if t <= 0.0:
+            raise ValueError(f"temperature must be positive, got {t}")
+        # Beyond these, hyperbolic_weights overflows into NaN or warnings.  No
+        # message names t: sweep checks each eta at the coldest t only.
+        beta = 1.0 / t
+        if not math.isfinite(beta):
+            raise ValueError(f"temperature {t} is too small: beta = 1/t overflows")
+        if not math.isfinite(2.0 * (beta * max(abs(j), abs(b_m)))):
+            raise ValueError(f"beta*energy overflows for j = {j}, b_m = {b_m}")
 
     @property
     def beta(self) -> float:
@@ -90,21 +102,23 @@ def partition_function(p: ModelParams) -> float:
         return float(2.0 * np.cosh(p.beta * p.b_m) + 2.0 * np.cosh(p.beta * p.j))
 
 
-def hyperbolic_weights(p: ModelParams) -> tuple[float, float, float, float]:
+def hyperbolic_weights(j, b_m, t):
     """(cosh beta*B_m, cosh beta*J, sinh beta*J, 1), all scaled by a common factor.
 
-    The common factor is exp(-max(beta|J|, beta|B_m|)), so no component can
+    j, b_m and t are floats or broadcastable ndarrays of valid ModelParams
+    fields (not checked here); each component has their broadcast shape.  The
+    common factor is exp(-max(beta|J|, beta|B_m|)), so no component can
     overflow at any temperature.  Every closed form built from these is a
     ratio that is homogeneous of degree one, hence unaffected by the scale;
     the fourth component carries the scale for terms with a bare constant.
     """
-    a = p.beta * abs(p.j)
-    b = p.beta * abs(p.b_m)
-    m = max(a, b)
+    beta = 1.0 / t
+    a = beta * j  # signed, so that sinh carries the sign of j
+    b = beta * abs(b_m)
+    m = np.maximum(abs(a), b)
+    up, down = np.exp(a - m), np.exp(-a - m)
     ch_b = 0.5 * (np.exp(b - m) + np.exp(-b - m))
-    ch_j = 0.5 * (np.exp(a - m) + np.exp(-a - m))
-    sh_j = math.copysign(0.5 * (np.exp(a - m) - np.exp(-a - m)), p.j)
-    return float(ch_b), float(ch_j), float(sh_j), float(np.exp(-m))
+    return ch_b, 0.5 * (up + down), 0.5 * (up - down), np.exp(-m)
 
 
 def _populations(p: ModelParams) -> np.ndarray:

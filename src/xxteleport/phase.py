@@ -8,14 +8,15 @@ concurrence still present at that boundary is the residual concurrence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .entanglement import thermal_concurrence
+from .entanglement import thermal_concurrence_array
 from .model import ModelParams, hyperbolic_weights
-from .teleport import average_fidelity
+from .teleport import average_fidelity_array
 
 ARCSINH_1 = float(np.arcsinh(1.0))  # ln(1 + sqrt 2)
 BRACKET_HIGH = 50.0
@@ -52,20 +53,17 @@ class CriticalPoint:
     solver_residual: float
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    j: float
-    b_m: float
-    t: float
-    concurrence: float
-    avg_fidelity: float
-    beats_classical: bool
+def better_than_classical_array(j, b_m, t):
+    """Whether the average fidelity strictly exceeds 2/3, sinh(bJ) > cosh(bB_m),
+    over broadcastable (j, b_m, t) arrays of valid ModelParams fields (not
+    checked here)."""
+    ch_b, _, sh_j, _ = hyperbolic_weights(j, b_m, t)
+    return sh_j > ch_b
 
 
 def better_than_classical(p: ModelParams) -> bool:
     """True iff the average fidelity strictly exceeds 2/3: sinh(bJ) > cosh(bB_m)."""
-    ch_b, _, sh_j, _ = hyperbolic_weights(p)
-    return bool(sh_j > ch_b)
+    return bool(better_than_classical_array(p.j, p.b_m, p.t))
 
 
 def _boundary_gap(x: float, eta: float) -> float:
@@ -81,6 +79,8 @@ def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
     rounds to >= 0 there, so that sign is taken from the analysis, not from
     the rounded value.
     """
+    if not math.isfinite(j):
+        raise ValueError(f"j must be finite, got {j}")
     if j <= 0.0:
         raise ValueError(f"j must be positive, got {j}")
     if eta >= 1.0:
@@ -102,14 +102,9 @@ def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
         else:
             hi = x
     t_over_j = 1.0 / x
-    cr = thermal_concurrence(ModelParams(j=1.0, b_m=eta, t=t_over_j))
+    cr = float(thermal_concurrence_array(1.0, eta, t_over_j))
     return CriticalPoint(eta=eta, t_critical_over_j=t_over_j,
                          residual_concurrence=cr, solver_residual=abs(f_x))
-
-
-def residual_concurrence(eta: float) -> float:
-    """Thermal concurrence left at the classical-beating boundary for this eta."""
-    return critical_temperature(eta).residual_concurrence
 
 
 def reproduce_table1() -> list[CriticalPoint]:
@@ -117,22 +112,35 @@ def reproduce_table1() -> list[CriticalPoint]:
     return [critical_temperature(round(0.1 * k, 1)) for k in range(1, 10)]
 
 
-def sweep(j: float, eta_grid: Sequence[float], t_grid: Sequence[float]) -> list[SweepRecord]:
+def table1_deviations(points: Sequence[CriticalPoint]) -> list[float]:
+    """Deviation of each reproduced row from its TABLE1_REFERENCE row: the larger
+    of the relative T_c/J error and the absolute residual-concurrence error.
+    A row passes when its deviation is at most TABLE1_TOLERANCE."""
+    return [max(abs(point.t_critical_over_j - t_ref) / t_ref,
+                abs(point.residual_concurrence - cr_ref))
+            for point, (_, t_ref, cr_ref) in zip(points, TABLE1_REFERENCE)]
+
+
+def sweep(j: float, eta_grid: Sequence[float], t_grid: Sequence[float]) -> dict[str, np.ndarray]:
     """Concurrence / fidelity / threshold over a grid, eta-major then T.
 
+    Returns equal-length 1-D columns j, b_m, t, concurrence, avg_fidelity and
+    beats_classical; each entry equals the scalar entry point at its point.
     eta >= 1 is a legitimate regime here (entangled yet never classical
-    beating), not an error.
+    beating), not an error.  An invalid point raises the ValueError that
+    ModelParams gives for the first such point in eta-major order.
     """
-    records = []
-    for eta in eta_grid:
-        for t in t_grid:
-            p = ModelParams(j=j, b_m=eta * j, t=t)
-            records.append(SweepRecord(
-                j=j,
-                b_m=p.b_m,
-                t=t,
-                concurrence=thermal_concurrence(p),
-                avg_fidelity=average_fidelity(p).average,
-                beats_classical=better_than_classical(p),
-            ))
-    return records
+    b_m = np.asarray(eta_grid, dtype=float) * j
+    t = np.asarray(t_grid, dtype=float)
+    if b_m.size and t.size:
+        # A rule that fails at (b_m[i], t[k]) for i > 0 but not at (b_m[0], t[k])
+        # involves b_m, and fails at the coldest t first: |b_m|/t only grows as t falls.
+        for t_k in t:
+            ModelParams(j=j, b_m=float(b_m[0]), t=float(t_k))
+        for b in b_m[1:]:
+            ModelParams(j=j, b_m=float(b), t=float(t.min()))
+    b_m, t = (a.ravel() for a in np.meshgrid(b_m, t, indexing="ij"))
+    return {"j": np.full(b_m.shape, j, dtype=float), "b_m": b_m, "t": t,
+            "concurrence": thermal_concurrence_array(j, b_m, t),
+            "avg_fidelity": average_fidelity_array(j, b_m, t),
+            "beats_classical": better_than_classical_array(j, b_m, t)}

@@ -85,37 +85,11 @@ def _overlaps(kets: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BellProjectorSet:
-    """Rank-1 projectors onto |Psi->, |Phi->, |Phi+>, |Psi+>, in channel index order."""
-
-    e0: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-    @property
-    def as_tuple(self) -> tuple[np.ndarray, ...]:
-        return (self.e0, self.e1, self.e2, self.e3)
-
-
-@dataclass(frozen=True)
-class ChannelWeights:
-    """Bell-diagonal weights of the resource; nonnegative, summing to one."""
-
-    p: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if abs(sum(self.p) - 1.0) > 1e-12:
-            raise ValueError(f"channel weights must sum to 1, got {sum(self.p):.15g}")
-
-
-@dataclass(frozen=True)
 class FidelityReport:
     """Average teleportation fidelity plus how it was obtained."""
 
     average: float
     method: str  # analytic | quadrature | monte-carlo | protocol-oracle
-    pointwise: float | None = None
     samples: int | None = None
     stderr: float | None = None
 
@@ -129,34 +103,15 @@ class FidelityReport:
             raise ValueError("stderr must be >= 0")
 
 
-def _bell_projector(i: int, j: int, sign: float) -> np.ndarray:
-    """|v><v| for v = (|i> + sign |j>)/sqrt(2), with exact 0.5 entries."""
-    proj = np.zeros((4, 4), dtype=complex)
-    proj[i, i] = proj[j, j] = 0.5
-    proj[i, j] = proj[j, i] = 0.5 * sign
-    proj.flags.writeable = False
-    return proj
-
-
-_BELL_SET = BellProjectorSet(
-    e0=_bell_projector(1, 2, -1.0),  # |Psi->
-    e1=_bell_projector(0, 3, -1.0),  # |Phi->
-    e2=_bell_projector(0, 3, +1.0),  # |Phi+>
-    e3=_bell_projector(1, 2, +1.0),  # |Psi+>
-)
-
-
-# Projectors in channel index order.
-_BELL = np.stack(_BELL_SET.as_tuple)
+# Rank-1 projectors onto |Psi->, |Phi->, |Phi+>, |Psi+>, in channel index order:
+# |v><v|/2 for the unnormalised integer kets v, so every entry is exactly 0 or +-0.5.
+_BELL_KETS = np.array([[0, 1, -1, 0], [1, 0, 0, -1], [1, 0, 0, 1], [0, 1, 1, 0]])
+BELL_PROJECTORS = (0.5 * (_BELL_KETS[:, :, None] * _BELL_KETS[:, None, :])).astype(complex)
 # Row-major vec(s rho s) = (s (x) s^T) vec(rho).  Row j holds that 4x4 map for
 # s_j, transposed so that it acts on row vectors, and flattened.
 _PAULI_CONJUGATIONS = np.stack([np.kron(s, s.T).T for s in SIGMA]).reshape(4, 16)
-for _m in (_BELL, _PAULI_CONJUGATIONS):
+for _m in (BELL_PROJECTORS, _PAULI_CONJUGATIONS):
     _m.flags.writeable = False
-
-
-def bell_projectors() -> BellProjectorSet:
-    return _BELL_SET
 
 
 def bell_weights_stack(rhos) -> np.ndarray:
@@ -164,7 +119,7 @@ def bell_weights_stack(rhos) -> np.ndarray:
     in a stack (N, 4, 4); roundoff clamped at zero, each row summing to one."""
     rhos = validate_density(rhos, dim=4)
     # tr(E rho) = sum_ab E_ab rho_ba, and every E is real symmetric.
-    p = (rhos.reshape(-1, 16) @ _BELL.reshape(4, 16).T).real
+    p = (rhos.reshape(-1, 16) @ BELL_PROJECTORS.reshape(4, 16).T).real
     bad = p < -1e-12
     if bad.any():
         raise ValueError(f"negative Bell weight {p[bad][0]:.3e}")
@@ -176,9 +131,10 @@ def bell_weights_stack(rhos) -> np.ndarray:
     return p
 
 
-def bell_weights(rho) -> ChannelWeights:
-    """p_j = tr(E_j rho) for a 4x4 density matrix, roundoff clamped at zero."""
-    return ChannelWeights(p=tuple(float(x) for x in bell_weights_stack(stack_of_one(rho, "rho"))[0]))
+def bell_weights(rho) -> tuple[float, float, float, float]:
+    """p_j = tr(E_j rho) for a 4x4 density matrix, roundoff clamped at zero,
+    summing to one."""
+    return tuple(float(x) for x in bell_weights_stack(stack_of_one(rho, "rho"))[0])
 
 
 def _pauli_mix(weights: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
@@ -229,8 +185,9 @@ def fidelity_from_weights(weights, cos_theta, phi):
     return f
 
 
-def output_fidelity(p: ModelParams, theta: float) -> float:
-    """Fidelity of teleporting (theta, phi) through the XX thermal resource.
+def output_fidelity_array(j, b_m, t, theta):
+    """Fidelity of teleporting (theta, phi) through the XX thermal resource, over
+    broadcastable (j, b_m, t, theta) arrays of valid inputs (not checked here).
 
     Independent of phi because the two |Phi> weights of the thermal state are
     equal:
@@ -238,24 +195,36 @@ def output_fidelity(p: ModelParams, theta: float) -> float:
         [2 sin^2(th) cosh(bB) + (3 + cos 2th) cosh(bJ) + 2 sin^2(th) sinh(bJ)]
         / [4 (cosh(bB) + cosh(bJ))]
     """
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    ch_b, ch_j, sh_j, _ = hyperbolic_weights(p)
+    ch_b, ch_j, sh_j, _ = hyperbolic_weights(j, b_m, t)
     s2 = np.sin(theta) ** 2
     num = 2.0 * s2 * ch_b + (3.0 + np.cos(2.0 * theta)) * ch_j + 2.0 * s2 * sh_j
-    return float(num / (4.0 * (ch_b + ch_j)))
+    return num / (4.0 * (ch_b + ch_j))
 
 
-def average_fidelity(p: ModelParams) -> FidelityReport:
-    """Bloch-sphere average fidelity of the XX thermal channel, closed form:
+def output_fidelity(p: ModelParams, theta: float) -> float:
+    """Fidelity of teleporting (theta, phi) through the XX thermal resource at
+    one parameter point (see output_fidelity_array)."""
+    if not 0.0 <= theta <= np.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    return float(output_fidelity_array(p.j, p.b_m, p.t, theta))
+
+
+def average_fidelity_array(j, b_m, t):
+    """Bloch-sphere average fidelity of the XX thermal channel over broadcastable
+    (j, b_m, t) arrays of valid ModelParams fields (not checked here):
 
         (cosh(bB) + 2 cosh(bJ) + sinh(bJ)) / (3 (cosh(bB) + cosh(bJ)))
 
     Beats the classical ceiling 2/3 exactly when sinh(bJ) > cosh(bB).
     """
-    ch_b, ch_j, sh_j, _ = hyperbolic_weights(p)
-    avg = (ch_b + 2.0 * ch_j + sh_j) / (3.0 * (ch_b + ch_j))
-    return FidelityReport(average=float(avg), method="analytic")
+    ch_b, ch_j, sh_j, _ = hyperbolic_weights(j, b_m, t)
+    return (ch_b + 2.0 * ch_j + sh_j) / (3.0 * (ch_b + ch_j))
+
+
+def average_fidelity(p: ModelParams) -> FidelityReport:
+    """Closed-form Bloch-sphere average fidelity at one parameter point."""
+    return FidelityReport(average=float(average_fidelity_array(p.j, p.b_m, p.t)),
+                          method="analytic")
 
 
 def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
@@ -265,7 +234,7 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    w = np.asarray(bell_weights(rho).p)
+    w = np.asarray(bell_weights(rho))
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, n)
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -315,7 +284,7 @@ def quadrature_average_fidelity(rho) -> FidelityReport:
 # channel (phases are unobservable at the density-matrix level).
 _CORRECTIONS = np.stack(SIGMA)
 # Bell projectors on (input, A), identity on B: the measurement of the protocol.
-_MEASUREMENT = np.stack([np.kron(e, SIGMA[0]) for e in _BELL_SET.as_tuple])
+_MEASUREMENT = np.stack([np.kron(e, SIGMA[0]) for e in BELL_PROJECTORS])
 for _m in (_CORRECTIONS, _MEASUREMENT):
     _m.flags.writeable = False
 

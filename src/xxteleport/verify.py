@@ -3,8 +3,9 @@
 Every closed form in the package has an independent numerical route; this
 module runs them against each other on seeded random grids and reports the
 worst deviation per check.  Each oracle runs once over the whole grid as a
-stacked (N, d, d) array computation, and each check is one array comparison.
-The CLI `verify` subcommand is a thin wrapper.
+stacked (N, d, d) array computation, each closed form once over its (j, b_m,
+t) arrays, and each check is one array comparison.  The CLI `verify`
+subcommand is a thin wrapper.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence_stack, thermal_concurrence
+from .entanglement import concurrence_stack, thermal_concurrence_array
 from .model import ModelParams, gibbs_state, gibbs_state_oracle_stack
-from .phase import TABLE1_REFERENCE, reproduce_table1
-from .teleport import (PureQubit, apply_channel_stack, average_fidelity,
-                       channel_fidelity_stack, mc_average_fidelity, output_fidelity,
+from .phase import reproduce_table1, table1_deviations
+from .teleport import (PureQubit, apply_channel_stack, average_fidelity_array,
+                       channel_fidelity_stack, mc_average_fidelity, output_fidelity_array,
                        protocol_oracle_stack, quadrature_average_fidelity_stack)
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -85,21 +86,22 @@ def run_verification(seed: int = 0, grid_size: int = 1000,
     inputs = [random_pure_qubit(rng) for _ in params]
     mc_seeds = [int(rng.integers(2**31)) for _ in params[:_MC_POINTS]]
 
+    j, b_m, t = np.array([(p.j, p.b_m, p.t) for p in params]).T
     thermal = np.stack([gibbs_state(p).rho for p in params])
     mixed = np.stack([rho for rho, _ in pairs])
     mixed_inputs = [psi for _, psi in pairs]
-    closed_average = np.array([average_fidelity(p).average for p in params])
+    closed_average = average_fidelity_array(j, b_m, t)
 
     dev = {
         "gibbs-analytic-vs-matrix-exponential":
             _max_abs(thermal, gibbs_state_oracle_stack(params)[0]),
         "concurrence-closed-form-vs-spin-flip":
-            _max_abs([thermal_concurrence(p) for p in params], concurrence_stack(thermal)[1]),
+            _max_abs(thermal_concurrence_array(j, b_m, t), concurrence_stack(thermal)[1]),
         "channel-vs-protocol-oracle":
             _max_abs(protocol_oracle_stack(mixed, mixed_inputs)[0],
                      apply_channel_stack(mixed, mixed_inputs)),
         "pointwise-fidelity-vs-channel":
-            _max_abs([output_fidelity(p, psi.theta) for p, psi in zip(params, inputs)],
+            _max_abs(output_fidelity_array(j, b_m, t, np.array([psi.theta for psi in inputs])),
                      channel_fidelity_stack(thermal, inputs)),
         "average-fidelity-vs-quadrature":
             _max_abs(closed_average, quadrature_average_fidelity_stack(thermal)),
@@ -112,9 +114,6 @@ def run_verification(seed: int = 0, grid_size: int = 1000,
         pull = np.where(stderr > 0.0, gap / stderr, np.where(gap == 0.0, 0.0, np.inf))
     dev["average-fidelity-vs-monte-carlo"] = float(pull.max())
 
-    points = reproduce_table1()
-    dev["table1-reproduction"] = float(max(
-        max(abs(point.t_critical_over_j - t_ref) / t_ref, abs(point.residual_concurrence - cr_ref))
-        for point, (_, t_ref, cr_ref) in zip(points, TABLE1_REFERENCE)))
+    dev["table1-reproduction"] = float(max(table1_deviations(reproduce_table1())))
 
     return [CheckResult(name, dev[name], tol[name]) for name in DEFAULT_TOLERANCES]

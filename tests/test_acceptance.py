@@ -14,7 +14,7 @@ from xxteleport.entanglement import concurrence, thermal_concurrence, \
 from xxteleport.model import ModelParams, gibbs_state, gibbs_state_oracle
 from xxteleport.phase import (ARCSINH_1, TABLE1_REFERENCE, better_than_classical,
                               critical_temperature, reproduce_table1)
-from xxteleport.teleport import (apply_channel, average_fidelity, bell_projectors,
+from xxteleport.teleport import (BELL_PROJECTORS, apply_channel, average_fidelity,
                                  channel_fidelity, mc_average_fidelity,
                                  output_fidelity, protocol_oracle,
                                  quadrature_average_fidelity)
@@ -146,12 +146,11 @@ def test_criterion_7_randomized_properties():
     n = 10_000
 
     # Bell projector completeness applied to random 4-dim states
-    projectors = bell_projectors().as_tuple
     dev_complete = 0.0
     for _ in range(n):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
-        total = sum(float(np.real(v.conj() @ e @ v)) for e in projectors)
+        total = sum(float(np.real(v.conj() @ e @ v)) for e in BELL_PROJECTORS)
         dev_complete = max(dev_complete, abs(total - 1.0))
 
     # channel trace preservation

@@ -42,6 +42,11 @@ class TestConcurrenceCommand:
         assert code == 2
         assert "temperature must be positive" in err
 
+    def test_subnormal_temperature_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "concurrence", "--j", "1", "--bm", "0", "--t", "5e-324")
+        assert (code, out) == (2, "")
+        assert "1/t overflows" in err
+
     def test_verify_flag(self, capsys):
         code, doc, _ = run_json(capsys, "concurrence", "--j", "1.2", "--bm", "0.4",
                                 "--t", "0.7", "--verify")
@@ -113,6 +118,11 @@ class TestCriticalCommand:
     def test_invalid_eta_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "critical", "--eta", "-0.5")
         assert code == 2
+
+    def test_infinite_coupling_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "critical", "--eta", "0.5", "--j", "inf")
+        assert (code, out) == (2, "")
+        assert "j must be finite" in err
 
 
 class TestTable1Command:

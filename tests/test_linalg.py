@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from xxteleport.linalg import (SIGMA, adjoint, eigh, hermitian_function, kron,
-                               matmul, trace, validate_density)
+from xxteleport.linalg import SIGMA, eigh, hermitian_function, validate_density
 from xxteleport.model import PSI_MINUS, ModelParams, build_hamiltonian
 
 
@@ -12,52 +11,53 @@ def random_hermitian(rng, dim=4, scale=1.0):
 
 
 class TestKron:
+    """The np.kron convention the package's operators are built on: the left
+    factor is qubit A, the most significant index of the computational basis."""
+
     def test_identity_case(self):
-        assert np.array_equal(kron(SIGMA[0], SIGMA[0]), np.eye(4))
+        assert np.array_equal(np.kron(SIGMA[0], SIGMA[0]), np.eye(4))
 
     def test_sz_identity(self):
-        assert np.allclose(kron(SIGMA[3], SIGMA[0]), np.diag([1, 1, -1, -1]), atol=1e-15)
+        assert np.allclose(np.kron(SIGMA[3], SIGMA[0]), np.diag([1, 1, -1, -1]), atol=1e-15)
 
     def test_sx_sx_antidiagonal(self):
-        assert np.allclose(kron(SIGMA[1], SIGMA[1]), np.fliplr(np.eye(4)), atol=1e-15)
+        assert np.allclose(np.kron(SIGMA[1], SIGMA[1]), np.fliplr(np.eye(4)), atol=1e-15)
 
     def test_product_dimension_multiplies(self):
-        assert kron(SIGMA[0], np.eye(4)).shape == (8, 8)
-        assert kron(np.eye(4), SIGMA[0]).shape == (8, 8)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            kron(np.eye(4), np.eye(4))
+        assert np.kron(SIGMA[0], np.eye(4)).shape == (8, 8)
+        assert np.kron(np.eye(4), SIGMA[0]).shape == (8, 8)
 
     def test_associative(self):
         rng = np.random.default_rng(0)
         a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
+        assert np.allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-12)
 
     def test_trace_multiplicative(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = random_hermitian(rng, 2)
             b = random_hermitian(rng, 4)
-            assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-12
+            assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
 
 class TestEigh:
     def test_sz(self):
-        assert np.allclose(eigh(SIGMA[3]).eigenvalues, [-1, 1], atol=1e-15)
+        # a plain tuple on every supported numpy, not numpy 2's EighResult
+        assert type(eigh(SIGMA[3])) is tuple
+        assert np.allclose(eigh(SIGMA[3])[0], [-1, 1], atol=1e-15)
 
     def test_sx(self):
-        dec = eigh(SIGMA[1])
-        assert np.allclose(dec.eigenvalues, [-1, 1], atol=1e-15)
+        w, v = eigh(SIGMA[1])
+        assert np.allclose(w, [-1, 1], atol=1e-15)
         # eigenvectors are (1, -1)/sqrt2 and (1, 1)/sqrt2 up to phase
         minus = np.array([1, -1]) / np.sqrt(2)
         plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(abs(minus @ dec.eigenvectors[:, 0]) - 1) < 1e-12
-        assert abs(abs(plus @ dec.eigenvectors[:, 1]) - 1) < 1e-12
+        assert abs(abs(minus @ v[:, 0]) - 1) < 1e-12
+        assert abs(abs(plus @ v[:, 1]) - 1) < 1e-12
 
     def test_xx_hamiltonian_spectrum(self):
         h = build_hamiltonian(ModelParams(j=1.0, b_m=0.5, t=1.0))
-        assert np.allclose(eigh(h).eigenvalues, [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
+        assert np.allclose(eigh(h)[0], [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -73,8 +73,7 @@ class TestEigh:
         rng = np.random.default_rng(2)
         for _ in range(200):
             m = random_hermitian(rng, 4)
-            dec = eigh(m)
-            v, w = dec.eigenvectors, dec.eigenvalues
+            w, v = eigh(m)
             assert np.all(np.diff(w) >= 0)
             assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
             assert np.abs((v * w) @ v.conj().T - m).max() < 1e-12
@@ -102,27 +101,15 @@ class TestHermitianFunction:
 
 
 class TestBasicOps:
-    def test_trace_identity(self):
-        assert trace(np.eye(4)) == 4
-
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.array_equal(adjoint(adjoint(m)), m)
-
     def test_projector_idempotent_trace(self):
         proj = np.outer(PSI_MINUS, PSI_MINUS.conj())
-        assert abs(trace(matmul(proj, proj)) - 1) < 1e-12
-
-    def test_matmul_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(4))
+        assert abs(np.trace(proj @ proj) - 1) < 1e-12
 
 
 class TestDensityValidation:
     def test_trace_of_density_is_one(self):
         rho = validate_density(np.eye(4) / 4)
-        assert abs(trace(rho) - 1) < 1e-12
+        assert abs(np.trace(rho) - 1) < 1e-12
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from xxteleport.linalg import hermitian_function, trace
+from xxteleport.entanglement import thermal_concurrence
+from xxteleport.linalg import hermitian_function
 from xxteleport.model import (KET_00, KET_11, PSI_MINUS, PSI_PLUS, ModelParams,
                               analytic_spectrum, build_hamiltonian, gibbs_state,
                               gibbs_state_oracle, partition_function)
+from xxteleport.phase import better_than_classical
+from xxteleport.teleport import average_fidelity
 
 PARAM_GRID = [ModelParams(j, b, t)
               for j in np.linspace(-2, 2, 10)
@@ -27,6 +31,34 @@ class TestModelParams:
         assert ModelParams(j=2.0, b_m=1.0, t=1.0).eta == 0.5
         with pytest.raises(ValueError):
             _ = ModelParams(j=0.0, b_m=1.0, t=1.0).eta
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_non_finite_beta_rejected(self, t):
+        with pytest.raises(ValueError, match="1/t overflows"):
+            ModelParams(j=1.0, b_m=0.0, t=t)
+
+    @pytest.mark.parametrize("j,b_m,t", [(1e200, 0.0, 1e-200), (0.0, -1e200, 1e-200),
+                                         (2.0, 0.0, 1e-308), (-1.0, 0.5, 1e-308)])
+    def test_beta_energy_overflow_rejected(self, j, b_m, t):
+        with pytest.raises(ValueError, match="overflows"):
+            ModelParams(j=j, b_m=b_m, t=t)
+
+    @pytest.mark.parametrize("field", ["j", "b_m", "t"])
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_rejected(self, field, flag):
+        values = {"j": 1.0, "b_m": 0.0, "t": 1.0, field: flag}
+        with pytest.raises(ValueError, match="bool"):
+            ModelParams(**values)
+
+    def test_coldest_accepted_point_is_finite(self):
+        # 2*beta*|j| = 1e308 is still finite, so the point is valid and every
+        # closed form reaches its ground-state limit without a warning
+        p = ModelParams(j=0.5, b_m=0.25, t=1e-308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_concurrence(p) == 1.0
+            assert average_fidelity(p).average == 1.0
+            assert better_than_classical(p)
 
 
 class TestHamiltonian:
@@ -109,7 +141,7 @@ class TestGibbsState:
         for p in PARAM_GRID:
             beta = p.beta
             em = hermitian_function(build_hamiltonian(p), lambda x: np.exp(-beta * x))
-            oracle = em / trace(em).real
+            oracle = em / np.trace(em).real
             assert np.abs(gibbs_state(p).rho - oracle).max() < 1e-10
 
     def test_populations(self):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxteleport.entanglement import thermal_concurrence
 from xxteleport.model import ModelParams
-from xxteleport.phase import (ARCSINH_1, ROOT_TOL, TABLE1_REFERENCE, NoClassicalAdvantageError,
-                              better_than_classical, critical_temperature,
-                              reproduce_table1, residual_concurrence, sweep)
+from xxteleport.phase import (ARCSINH_1, ROOT_TOL, TABLE1_REFERENCE, TABLE1_TOLERANCE,
+                              NoClassicalAdvantageError, better_than_classical,
+                              critical_temperature, reproduce_table1, sweep,
+                              table1_deviations)
 from xxteleport.teleport import average_fidelity
 
 
@@ -91,6 +94,11 @@ class TestCriticalTemperature:
         with pytest.raises(ValueError, match="does not change sign"):
             critical_temperature(float("nan"))
 
+    @pytest.mark.parametrize("j", [math.inf, math.nan])
+    def test_non_finite_coupling_rejected(self, j):
+        with pytest.raises(ValueError, match="j must be finite"):
+            critical_temperature(0.5, j=j)
+
     def test_bad_coupling(self):
         with pytest.raises(ValueError):
             critical_temperature(0.5, j=0.0)
@@ -111,11 +119,11 @@ class TestCriticalTemperature:
 
 class TestResidualConcurrence:
     def test_reference_values(self):
-        assert abs(residual_concurrence(0.5) - 0.045085) < 1e-5
-        assert abs(residual_concurrence(0.9) - 0.223103) < 1e-5
+        assert abs(critical_temperature(0.5).residual_concurrence - 0.045085) < 1e-5
+        assert abs(critical_temperature(0.9).residual_concurrence - 0.223103) < 1e-5
 
     def test_small_eta_limit(self):
-        assert residual_concurrence(1e-4) < 1e-6
+        assert critical_temperature(1e-4).residual_concurrence < 1e-6
 
 
 class TestTable1:
@@ -142,40 +150,93 @@ class TestTable1:
         assert all(a > b for a, b in zip(ts, ts[1:]))
         assert all(a < b for a, b in zip(crs, crs[1:]))
 
+    def test_deviations(self):
+        points = reproduce_table1()
+        devs = table1_deviations(points)
+        assert len(devs) == 9
+        assert max(devs) <= TABLE1_TOLERANCE
+        for point, (_, t_ref, cr_ref), dev in zip(points, TABLE1_REFERENCE, devs):
+            assert dev == max(abs(point.t_critical_over_j - t_ref) / t_ref,
+                              abs(point.residual_concurrence - cr_ref))
+
     def test_all_below_zero_entanglement_temperature(self):
         for point in reproduce_table1():
             assert point.t_critical_over_j < 1.13459
             assert point.t_critical_over_j < 1.0 / ARCSINH_1
 
 
+def loop_sweep(j, etas, ts):
+    """The point-by-point reference for sweep: scalar entry points, eta-major."""
+    rows = []
+    for eta in etas:
+        for t in ts:
+            p = ModelParams(j=j, b_m=eta * j, t=t)
+            rows.append((j, p.b_m, t, thermal_concurrence(p), average_fidelity(p).average,
+                         better_than_classical(p)))
+    return rows
+
+
+def sweep_rows(columns):
+    return list(zip(*(column.tolist() for column in columns.values())))
+
+
+def bits(rows):
+    """Rows with each float as its hex form, so that == compares bit patterns."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
 class TestSweep:
+    KEYS = ["j", "b_m", "t", "concurrence", "avg_fidelity", "beats_classical"]
+
     def test_strong_field_region(self):
-        records = sweep(1.0, [1.2], list(np.arange(0.1, 1.101, 0.1)))
-        assert len(records) == 11
-        for r in records:
-            assert r.concurrence > 0.0  # all below T_c ~ 1.13459
-            assert not r.beats_classical
+        cols = sweep(1.0, [1.2], list(np.arange(0.1, 1.101, 0.1)))
+        assert len(cols["t"]) == 11
+        assert np.all(cols["concurrence"] > 0.0)  # all below T_c ~ 1.13459
+        assert not cols["beats_classical"].any()
 
     def test_grid_point_beats(self):
-        (r,) = sweep(1.0, [0.5], [0.5])
-        assert r.beats_classical
+        cols = sweep(1.0, [0.5], [0.5])
+        assert cols["beats_classical"].tolist() == [True]
         assert math.sinh(2.0) > math.cosh(1.0)
 
     def test_empty_grid(self):
-        assert sweep(1.0, [0.5], []) == []
-        assert sweep(1.0, [], [0.5]) == []
+        for cols in (sweep(1.0, [0.5], []), sweep(1.0, [], [0.5])):
+            assert list(cols) == self.KEYS
+            assert all(column.shape == (0,) for column in cols.values())
 
     def test_ordering_and_cardinality(self):
         etas = [0.2, 0.4, 0.6]
         ts = [0.3, 0.9]
-        records = sweep(1.0, etas, ts)
-        assert len(records) == 6
-        assert [(r.b_m, r.t) for r in records] == [(e, t) for e in etas for t in ts]
+        cols = sweep(1.0, etas, ts)
+        assert list(cols) == self.KEYS
+        assert all(column.shape == (6,) for column in cols.values())
+        assert list(zip(cols["b_m"], cols["t"])) == [(e, t) for e in etas for t in ts]
 
     def test_record_consistency(self):
-        for r in sweep(2.0, [0.3, 0.8, 1.1], [0.4, 1.0, 2.5]):
-            p = ModelParams(j=r.j, b_m=r.b_m, t=r.t)
-            assert r.concurrence == thermal_concurrence(p)
-            assert r.avg_fidelity == average_fidelity(p).average
-            assert r.beats_classical == (r.avg_fidelity > 2 / 3) or \
-                abs(r.avg_fidelity - 2 / 3) < 1e-12
+        etas, ts = [0.3, 0.8, 1.1], [0.4, 1.0, 2.5]
+        assert bits(sweep_rows(sweep(2.0, etas, ts))) == bits(loop_sweep(2.0, etas, ts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(j=st.floats(-3.0, 3.0),
+           etas=st.lists(st.floats(0.0, 1.5), max_size=6),
+           ts=st.lists(st.floats(1e-3, 10.0), max_size=6))
+    def test_columns_equal_scalar_entry_points(self, j, etas, ts):
+        # bitwise, including j <= 0, eta >= 1 and empty axes
+        assert bits(sweep_rows(sweep(j, etas, ts))) == bits(loop_sweep(j, etas, ts))
+
+    @pytest.mark.parametrize("j,etas,ts", [
+        (1.0, [0.5, 1.0], [1.0, 0.0, -1.0]),          # t <= 0, first bad t in order
+        (1.0, [0.5], [1.0, math.nan]),                 # non-finite t
+        (1.0, [0.5], [1.0, 5e-324]),                   # beta overflows
+        (1.0, [0.5, math.inf], [1.0]),                 # non-finite b_m at i > 0
+        (1.0, [0.5, 1e300, 2e300], [1.0, 1e-10, 1e-9]),  # beta*energy overflows at i > 0
+        (1.0, [0.5, 1e300, 2e300], [1e-9, 1e-10, 1.0]),  # same, coldest t not first
+        (math.inf, [0.5], [1.0]),                      # non-finite j
+        (True, [0.5], [1.0]),                          # bool j
+    ])
+    def test_invalid_point_raises_like_loop(self, j, etas, ts):
+        with pytest.raises(ValueError) as want:
+            loop_sweep(j, etas, ts)
+        with pytest.raises(ValueError) as got:
+            sweep(j, etas, ts)
+        assert str(got.value) == str(want.value)

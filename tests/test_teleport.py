@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from xxteleport.model import PSI_MINUS, PSI_PLUS, ModelParams, gibbs_state
-from xxteleport.teleport import (PHI_MINUS, PHI_PLUS, PureQubit, apply_channel,
-                                 average_fidelity, bell_projectors, bell_weights,
+from xxteleport.teleport import (BELL_PROJECTORS, PHI_MINUS, PHI_PLUS, PureQubit,
+                                 apply_channel, average_fidelity, bell_weights,
                                  channel_fidelity, fidelity_from_weights,
                                  mc_average_fidelity, output_fidelity,
                                  protocol_oracle, quadrature_average_fidelity)
@@ -54,36 +54,39 @@ class TestPureQubit:
 
 class TestBellProjectors:
     def test_projector_properties(self):
-        for e in bell_projectors().as_tuple:
+        assert BELL_PROJECTORS.shape == (4, 4, 4)
+        assert not BELL_PROJECTORS.flags.writeable
+        for e in BELL_PROJECTORS:
             assert np.abs(e - e.conj().T).max() < 1e-12
             assert np.abs(e @ e - e).max() < 1e-12
 
     def test_completeness(self):
-        total = sum(bell_projectors().as_tuple)
+        total = BELL_PROJECTORS.sum(axis=0)
         assert np.abs(total - np.eye(4)).max() < 1e-12
 
     def test_mutually_orthogonal(self):
-        es = bell_projectors().as_tuple
+        es = BELL_PROJECTORS
         for i in range(4):
             for k in range(i + 1, 4):
                 assert np.abs(es[i] @ es[k]).max() < 1e-12
 
     def test_match_ket_outer_products(self):
-        for e, ket in zip(bell_projectors().as_tuple,
+        for e, ket in zip(BELL_PROJECTORS,
                           (PSI_MINUS, PHI_MINUS, PHI_PLUS, PSI_PLUS)):
             assert np.abs(e - np.outer(ket, ket.conj())).max() < 1e-15
 
 
 class TestBellWeights:
     def test_singlet(self):
-        assert np.allclose(bell_weights(SINGLET).p, (1, 0, 0, 0), atol=1e-12)
+        assert np.allclose(bell_weights(SINGLET), (1, 0, 0, 0), atol=1e-12)
 
     def test_maximally_mixed(self):
-        assert np.allclose(bell_weights(np.eye(4) / 4).p, (0.25,) * 4, atol=1e-15)
+        assert np.allclose(bell_weights(np.eye(4) / 4), (0.25,) * 4, atol=1e-15)
 
     def test_thermal_scalar_oracle(self):
         z = 2 * math.cosh(0.5) + 2 * math.cosh(1.0)
-        w = bell_weights(gibbs_state(ModelParams(j=1.0, b_m=0.5, t=1.0)).rho).p
+        w = bell_weights(gibbs_state(ModelParams(j=1.0, b_m=0.5, t=1.0)).rho)
+        assert isinstance(w, tuple) and all(isinstance(x, float) for x in w)
         assert abs(w[0] - math.e / z) < 1e-12
         assert abs(w[0] - 0.508907) < 1e-6
         assert abs(w[3] - math.exp(-1.0) / z) < 1e-12
@@ -93,7 +96,7 @@ class TestBellWeights:
     def test_sum_to_one(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            assert abs(sum(bell_weights(random_density(rng)).p) - 1.0) < 1e-12
+            assert abs(sum(bell_weights(random_density(rng))) - 1.0) < 1e-12
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
@@ -132,7 +135,7 @@ class TestApplyChannel:
         for _ in range(200):
             rho = random_density(rng)
             psi = random_pure_qubit(rng)
-            w = np.asarray(bell_weights(rho).p)
+            w = np.asarray(bell_weights(rho))
             got = fidelity_from_weights(w, math.cos(psi.theta), psi.phi)
             assert abs(got - channel_fidelity(rho, psi)) < 1e-12
 
@@ -249,7 +252,7 @@ class TestQuadrature:
         # resource |Phi+><Phi+| has weights (0,0,1,0); sphere-average of
         # |<psi|sy|psi>|^2 is 1/3
         rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-        assert np.allclose(bell_weights(rho).p, (0, 0, 1, 0), atol=1e-12)
+        assert np.allclose(bell_weights(rho), (0, 0, 1, 0), atol=1e-12)
         assert abs(quadrature_average_fidelity(rho).average - 1 / 3) < 1e-12
 
 

@@ -11,7 +11,7 @@ from xxteleport.entanglement import concurrence, concurrence_stack
 from xxteleport.linalg import eigh, hermitian_function, validate_density
 from xxteleport.model import (ModelParams, ThermalState, gibbs_state, gibbs_state_oracle,
                               gibbs_state_oracle_stack)
-from xxteleport.teleport import (FidelityReport, apply_channel, apply_channel_stack,
+from xxteleport.teleport import (apply_channel, apply_channel_stack,
                                  bell_weights, bell_weights_stack, channel_fidelity,
                                  channel_fidelity_stack, protocol_oracle,
                                  protocol_oracle_stack, quadrature_average_fidelity,
@@ -34,23 +34,20 @@ def _shift_gibbs(original):
     return shifted
 
 
-def _shift_average(original):
-    # downwards, so the report stays inside [0, 1]
-    return lambda p: FidelityReport(average=original(p).average - SHIFT, method="analytic")
-
-
 # check, closed form it compares against, modules whose binding is shifted, shift.
 # The channel stays unshifted inside teleport: the pointwise check reads the
-# channel as its oracle, by design.
+# channel as its oracle, by design.  The average is shifted downwards, so it
+# stays inside [0, 1].
 MUTATIONS = [
     ("gibbs-analytic-vs-matrix-exponential", "gibbs_state", (model, verify), _shift_gibbs),
-    ("concurrence-closed-form-vs-spin-flip", "thermal_concurrence", (entanglement, verify),
-     lambda f: lambda p: f(p) + SHIFT),
+    ("concurrence-closed-form-vs-spin-flip", "thermal_concurrence_array",
+     (entanglement, verify), lambda f: lambda j, b_m, t: f(j, b_m, t) + SHIFT),
     ("channel-vs-protocol-oracle", "apply_channel_stack", (verify,),
      lambda f: lambda rhos, psis: f(rhos, psis) + SHIFT),
-    ("pointwise-fidelity-vs-channel", "output_fidelity", (teleport, verify),
-     lambda f: lambda p, theta: f(p, theta) + SHIFT),
-    ("average-fidelity-vs-quadrature", "average_fidelity", (teleport, verify), _shift_average),
+    ("pointwise-fidelity-vs-channel", "output_fidelity_array", (teleport, verify),
+     lambda f: lambda j, b_m, t, theta: f(j, b_m, t, theta) + SHIFT),
+    ("average-fidelity-vs-quadrature", "average_fidelity_array", (teleport, verify),
+     lambda f: lambda j, b_m, t: f(j, b_m, t) - SHIFT),
 ]
 
 
@@ -110,7 +107,7 @@ class TestStackedMatchesScalar:
     def test_bell_weights(self, stack):
         _, rhos, _ = stack
         for rho, row in zip(rhos, bell_weights_stack(rhos)):
-            assert np.abs(row - bell_weights(rho).p).max() <= self.TOL
+            assert np.abs(row - bell_weights(rho)).max() <= self.TOL
 
     def test_channel(self, stack):
         _, rhos, psis = stack
@@ -136,12 +133,12 @@ class TestStackedMatchesScalar:
     def test_linalg(self, stack):
         _, rhos, _ = stack
         assert np.array_equal(validate_density(rhos, dim=4), rhos)
-        dec = eigh(rhos)
+        ws, vs = eigh(rhos)
         roots = hermitian_function(rhos, lambda x: np.sqrt(np.maximum(x, 0.0)))
-        for rho, w, v, root in zip(rhos, dec.eigenvalues, dec.eigenvectors, roots):
-            one = eigh(rho)
-            assert np.abs(w - one.eigenvalues).max() <= self.TOL
-            assert np.abs(v - one.eigenvectors).max() <= self.TOL
+        for rho, w, v, root in zip(rhos, ws, vs, roots):
+            one_w, one_v = eigh(rho)
+            assert np.abs(w - one_w).max() <= self.TOL
+            assert np.abs(v - one_v).max() <= self.TOL
             one_root = hermitian_function(rho, lambda x: np.sqrt(np.maximum(x, 0.0)))
             assert np.abs(root - one_root).max() <= self.TOL
 
