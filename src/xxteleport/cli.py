@@ -9,11 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +19,8 @@ from . import __version__
 from .entanglement import concurrence, thermal_concurrence
 from .model import ModelParams, gibbs_state
 from .phase import (TABLE1_REFERENCE, TABLE1_TOLERANCE, NoClassicalAdvantageError,
-                    critical_temperature, reproduce_table1, sweep, table1_deviations)
+                    better_than_classical, critical_temperature, reproduce_table1, sweep,
+                    table1_deviations)
 from .teleport import (PureQubit, apply_channel_stack, average_fidelity,
                        mc_average_fidelity, output_fidelity, protocol_oracle_stack)
 from .verify import run_verification
@@ -37,13 +36,6 @@ _ORACLE_THETAS = (0.4, 1.2, 2.2)
 _ORACLE_PHIS = (0.0, 2.1, 5.0)
 
 
-@dataclass
-class OutputEnvelope:
-    metadata: dict
-    result: object  # dict for single records, list of dicts for tables
-    exit_code: int = EXIT_OK
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -52,31 +44,46 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render(env: OutputEnvelope, fmt: str) -> str:
+def _cells(column, fmt: str) -> list[str]:
+    """Each value as `json.dumps` or `_fmt` prints it; an ndarray is formatted by dtype."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    values = column.tolist() if kind else column
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
     if fmt == "json":
-        return json.dumps({"metadata": env.metadata, "result": env.result}, indent=2)
-    rows = env.result if isinstance(env.result, list) else [env.result]
+        if kind == "f" and np.isfinite(column).all():
+            return list(map(float.__repr__, values))
+        return list(map(json.dumps, values))  # Infinity and NaN keep json's spelling
+    if kind == "f":
+        return [format(v, ".12g") for v in values]
+    return list(map(_fmt, values))
+
+
+def _render(meta: dict, columns: dict, record: bool, fmt: str) -> str:
+    """The document `json.dumps(indent=2)` or `csv.writer` would write, built from columns.
+
+    A record is a table of one row, written as json's object and plain's
+    `k = v` lines.  Rows fill a %-template; column names are identifiers and no
+    cell holds a comma, quote or newline, so csv quotes none.
+    """
+    cells = [_cells(column, fmt) for column in columns.values()]
+    if fmt == "json":
+        indent = "  " if record else "    "
+        fields = ",\n".join(f"{indent}  {json.dumps(name)}: %s" for name in columns)
+        objects = list(map(f"{{\n{fields}\n{indent}}}".__mod__, zip(*cells)))
+        result = objects[0] if record else "[\n    " + ",\n    ".join(objects) + "\n  ]"
+        header = json.dumps(meta, indent=2).replace("\n", "\n  ")
+        return f'{{\n  "metadata": {header},\n  "result": {result}\n}}'
+    table = [tuple(columns), *zip(*cells)]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if rows:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(_fmt(v) for v in row.values())
-        return buf.getvalue().rstrip("\n")
-    # plain
-    params = " ".join(f"{k}={_fmt(v)}" for k, v in env.metadata["parameters"].items())
-    lines = [f"# xxteleport {env.metadata['version']} {env.metadata['command']} {params}".rstrip()]
-    if isinstance(env.result, list):
-        if rows:
-            keys = list(rows[0].keys())
-            table = [keys] + [[_fmt(row[k]) for k in keys] for row in rows]
-            widths = [max(len(r[i]) for r in table) for i in range(len(keys))]
-            for r in table:
-                lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        return "\n".join(map(",".join, table))
+    params = " ".join(f"{k}={_fmt(v)}" for k, v in meta["parameters"].items())
+    lines = [f"# xxteleport {meta['version']} {meta['command']} {params}".rstrip()]
+    if record:
+        lines += [f"{name} = {c[0]}" for name, c in zip(columns, cells)]
     else:
-        for k, v in env.result.items():
-            lines.append(f"{k} = {_fmt(v)}")
+        template = "  ".join(f"%-{max(len(name), *map(len, c))}s" for name, c in zip(columns, cells))
+        lines += [(template % row).rstrip() for row in table]
     return "\n".join(lines)
 
 
@@ -99,7 +106,11 @@ def _params_from_args(args) -> ModelParams:
     return ModelParams(j=args.j, b_m=b_m, t=t)
 
 
-def _cmd_concurrence(args) -> OutputEnvelope:
+def _one_row(fields: dict) -> dict:
+    return {name: [value] for name, value in fields.items()}
+
+
+def _cmd_concurrence(args) -> tuple[dict, dict, int]:
     p = _params_from_args(args)
     result = {"j": p.j, "b_m": p.b_m, "t": p.t, "concurrence": thermal_concurrence(p)}
     if args.verify:
@@ -107,15 +118,14 @@ def _cmd_concurrence(args) -> OutputEnvelope:
         result["general_concurrence"] = general
         result["abs_difference"] = abs(result["concurrence"] - general)
     meta = _metadata("concurrence", {"j": p.j, "b_m": p.b_m, "t": p.t})
-    return OutputEnvelope(meta, result)
+    return meta, _one_row(result), EXIT_OK
 
 
-def _cmd_fidelity(args) -> OutputEnvelope:
+def _cmd_fidelity(args) -> tuple[dict, dict, int]:
     p = _params_from_args(args)
-    rep = average_fidelity(p)
     result = {"j": p.j, "b_m": p.b_m, "t": p.t,
-              "avg_fidelity": rep.average,
-              "beats_classical": rep.average > 2.0 / 3.0}
+              "avg_fidelity": average_fidelity(p).average,
+              "beats_classical": better_than_classical(p)}
     if args.theta is not None:
         result["theta"] = args.theta
         result["pointwise_fidelity"] = output_fidelity(p, args.theta)
@@ -132,10 +142,10 @@ def _cmd_fidelity(args) -> OutputEnvelope:
         result["oracle_max_deviation"] = float(np.abs(
             protocol_oracle_stack(rhos, psis)[0] - apply_channel_stack(rhos, psis)).max())
     meta = _metadata("fidelity", {"j": p.j, "b_m": p.b_m, "t": p.t}, seed=seed)
-    return OutputEnvelope(meta, result)
+    return meta, _one_row(result), EXIT_OK
 
 
-def _cmd_critical(args) -> OutputEnvelope:
+def _cmd_critical(args) -> tuple[dict, dict, int]:
     point = critical_temperature(args.eta, args.j)
     result = {"eta": point.eta,
               "t_critical_over_j": point.t_critical_over_j,
@@ -143,53 +153,46 @@ def _cmd_critical(args) -> OutputEnvelope:
               "residual_concurrence": point.residual_concurrence,
               "solver_residual": point.solver_residual}
     meta = _metadata("critical", {"eta": args.eta, "j": args.j})
-    return OutputEnvelope(meta, result)
+    return meta, _one_row(result), EXIT_OK
 
 
-def _cmd_table1(args) -> OutputEnvelope:
+def _cmd_table1(args) -> tuple[dict, dict, int]:
     points = reproduce_table1()
-    rows = [{"eta": eta,
-             "t_critical_over_j": point.t_critical_over_j,
-             "residual_concurrence": point.residual_concurrence,
-             "reference_t_over_j": t_ref,
-             "reference_c_r": cr_ref,
-             "status": "pass" if deviation <= TABLE1_TOLERANCE else "fail"}
-            for point, (eta, t_ref, cr_ref), deviation
-            in zip(points, TABLE1_REFERENCE, table1_deviations(points))]
+    etas, t_refs, cr_refs = zip(*TABLE1_REFERENCE)
+    columns = {"eta": etas,
+               "t_critical_over_j": [point.t_critical_over_j for point in points],
+               "residual_concurrence": [point.residual_concurrence for point in points],
+               "reference_t_over_j": t_refs,
+               "reference_c_r": cr_refs,
+               "status": ["pass" if deviation <= TABLE1_TOLERANCE else "fail"
+                          for deviation in table1_deviations(points)]}
     meta = _metadata("table1", {"tolerance": TABLE1_TOLERANCE})
-    return OutputEnvelope(meta, rows)
+    return meta, columns, EXIT_OK
 
 
-def _cmd_sweep(args) -> OutputEnvelope:
-    eta_steps, t_steps = args.steps
-    if eta_steps < 1 or t_steps < 1:
+def _cmd_sweep(args) -> tuple[dict, dict, int]:
+    if min(args.steps) < 1:
         raise ValueError(f"step counts must be positive, got {args.steps}")
-    etas = np.linspace(args.eta_range[0], args.eta_range[1], eta_steps)
-    ts = np.linspace(args.t_range[0], args.t_range[1], t_steps)
-    columns = sweep(args.j, etas, ts)
-    # .tolist() yields Python scalars: _fmt prints an np.bool_ as True, json.dumps rejects it.
-    rows = [dict(zip(columns, values))
-            for values in zip(*(column.tolist() for column in columns.values()))]
+    etas = np.linspace(*args.eta_range, args.steps[0])
+    ts = np.linspace(*args.t_range, args.steps[1])
     meta = _metadata("sweep", {"j": args.j,
                                "eta_range": list(args.eta_range),
                                "t_range": list(args.t_range),
                                "steps": list(args.steps)})
-    return OutputEnvelope(meta, rows)
+    return meta, sweep(args.j, etas, ts), EXIT_OK
 
 
-def _cmd_verify(args) -> OutputEnvelope:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     results = run_verification(seed=args.seed, grid_size=args.grid_size)
-    rows = [{"check": r.name,
-             "max_deviation": r.max_deviation,
-             "tolerance": r.tolerance,
-             "status": "pass" if r.passed else "fail"}
-            for r in results]
-    failed = [r.name for r in results if not r.passed]
+    columns = {"check": [r.name for r in results],
+               "max_deviation": [r.max_deviation for r in results],
+               "tolerance": [r.tolerance for r in results],
+               "status": ["pass" if r.passed else "fail" for r in results]}
     meta = _metadata("verify", {"grid_size": args.grid_size}, seed=args.seed)
-    return OutputEnvelope(meta, rows,
-                          exit_code=EXIT_VERIFY_FAILED if failed else EXIT_OK)
+    return meta, columns, EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
+@functools.cache  # built on first use, then reused: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "plain"), default="plain",
@@ -218,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="thermal concurrence at a parameter point")
     s.add_argument("--verify", action="store_true",
                    help="also run the general spin-flip algorithm and report the difference")
-    s.set_defaults(handler=_cmd_concurrence)
+    s.set_defaults(handler=_cmd_concurrence, record=True)
 
     s = sub.add_parser("fidelity", parents=[common, point],
                        help="average teleportation fidelity at a parameter point")
@@ -228,17 +231,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also report a Monte Carlo estimate with this many samples")
     s.add_argument("--verify", action="store_true",
                    help="also cross-check the channel against the three-qubit protocol")
-    s.set_defaults(handler=_cmd_fidelity)
+    s.set_defaults(handler=_cmd_fidelity, record=True)
 
     s = sub.add_parser("critical", parents=[common],
                        help="classical-beating boundary temperature for eta = B_m/J")
     s.add_argument("--eta", type=float, required=True)
     s.add_argument("--j", type=float, default=1.0)
-    s.set_defaults(handler=_cmd_critical)
+    s.set_defaults(handler=_cmd_critical, record=True)
 
     s = sub.add_parser("table1", parents=[common],
                        help="boundary table for eta = 0.1..0.9 with golden-value check")
-    s.set_defaults(handler=_cmd_table1)
+    s.set_defaults(handler=_cmd_table1, record=False)
 
     s = sub.add_parser("sweep", parents=[common],
                        help="grid sweep of concurrence, fidelity and threshold")
@@ -249,12 +252,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=(0.1, 1.2), metavar=("LO", "HI"))
     s.add_argument("--steps", nargs=2, type=int, default=(9, 12),
                    metavar=("N_ETA", "N_T"), help="grid points per axis")
-    s.set_defaults(handler=_cmd_sweep)
+    s.set_defaults(handler=_cmd_sweep, record=False)
 
     s = sub.add_parser("verify", parents=[common],
                        help="run the full cross-module consistency suite")
     s.add_argument("--grid-size", dest="grid_size", type=int, default=1000)
-    s.set_defaults(handler=_cmd_verify)
+    s.set_defaults(handler=_cmd_verify, record=False)
 
     return parser
 
@@ -262,14 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        env = args.handler(args)
-    except NoClassicalAdvantageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
+        meta, columns, exit_code = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    text = _render(env, args.format)
+        return EXIT_NO_SOLUTION if isinstance(exc, NoClassicalAdvantageError) else EXIT_BAD_PARAMS
+    text = _render(meta, columns, args.record, args.format)
     try:
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
-    return env.exit_code
+    return exit_code
 
 
 if __name__ == "__main__":

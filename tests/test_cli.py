@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,10 +7,12 @@ import subprocess
 import sys
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xxteleport.cli import main
+from xxteleport.cli import _build_parser, main
 from xxteleport.model import ModelParams
-from xxteleport.phase import critical_temperature
+from xxteleport.phase import critical_temperature, sweep
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +75,15 @@ class TestFidelityCommand:
         code, doc, _ = run_json(capsys, "fidelity", "--j", "1", "--bm", "1", "--t", "0.5")
         assert code == 0
         assert doc["result"]["beats_classical"] is False
+
+    def test_beats_classical_agrees_with_sweep_at_boundary(self, capsys):
+        # Just below T_c the average fidelity rounds to exactly 2/3, while
+        # sinh(J/T) > cosh(B_m/T) still holds; both commands must say so.
+        b_m, t = 0.23292755250310831, 1.115111172470346
+        code, doc, _ = run_json(capsys, "fidelity", "--j", "1", "--bm", repr(b_m), "--t", repr(t))
+        assert code == 0
+        assert bool(sweep(1.0, [b_m], [t])["beats_classical"][0]) is True
+        assert doc["result"]["beats_classical"] is True
 
     def test_infinite_temperature(self, capsys):
         code, doc, _ = run_json(capsys, "fidelity", "--j", "1", "--bm", "0", "--t", "1e9")
@@ -263,3 +275,71 @@ class TestOutputEnvelope:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert abs(doc["result"]["t_critical_over_j"] - 1.03904) < 1e-4
+
+
+def sweep_stdout(argv):
+    """stdout of one `main` call; hypothesis cannot reuse pytest's capsys between examples."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+class TestRendering:
+    @settings(max_examples=60, deadline=None)
+    @given(j=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           eta_range=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=2),
+           t_range=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
+           steps=st.lists(st.integers(1, 12), min_size=2, max_size=2))
+    def test_sweep_round_trip(self, j, eta_range, t_range, steps):
+        want = sweep(j, np.linspace(*eta_range, steps[0]), np.linspace(*t_range, steps[1]))
+        n = steps[0] * steps[1]
+        argv = ["sweep", f"--j={j!r}", "--eta-range", *map(repr, eta_range),
+                "--t-range", *map(repr, t_range), "--steps", *map(str, steps), "--format"]
+
+        rows = json.loads(sweep_stdout(argv + ["json"]))["result"]
+        assert len(rows) == n and all(list(row) == list(want) for row in rows)
+        for name, column in want.items():
+            got = [row[name] for row in rows]
+            if column.dtype == bool:
+                assert all(type(v) is bool for v in got) and got == column.tolist()
+            else:  # bitwise, so -0.0 and 0.0 differ
+                assert np.array_equal(np.array(got).view(np.uint64), column.view(np.uint64))
+
+        rows = list(csv.DictReader(io.StringIO(sweep_stdout(argv + ["csv"]))))
+        assert len(rows) == n and all(list(row) == list(want) for row in rows)
+        for name, column in want.items():
+            text = [("true" if v else "false") if column.dtype == bool else format(v, ".12g")
+                    for v in column.tolist()]
+            assert [row[name] for row in rows] == text
+
+        lines = sweep_stdout(argv + ["plain"]).splitlines()
+        assert lines[0].startswith("# xxteleport ")
+        assert lines[1].split() == list(want)
+        assert len(lines) == 2 + n
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_omitted_option_takes_its_default(self, capsys):
+        point = ["fidelity", "--j", "1", "--bm", "0.5", "--t", "1"]
+        code, doc, _ = run_json(capsys, *point, "--theta", "0.7")
+        assert code == 0 and doc["result"]["theta"] == 0.7
+        code, doc, _ = run_json(capsys, *point)
+        assert code == 0
+        assert "theta" not in doc["result"] and "pointwise_fidelity" not in doc["result"]
+
+    def test_default_grid_after_explicit_steps(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--steps", "2", "3", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 1 + 6
+        code, out, _ = run_cli(capsys, "sweep", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 1 + 9 * 12
+
+    def test_stdout_after_out_file(self, capsys, tmp_path):
+        path = tmp_path / "table1.csv"
+        code, out, _ = run_cli(capsys, "table1", "--format", "csv", "--out", str(path))
+        assert (code, out) == (0, "")
+        code, out, _ = run_cli(capsys, "table1", "--format", "csv")
+        assert code == 0 and out == path.read_text()
