@@ -277,7 +277,8 @@ def main(argv=None) -> int:
         else:
             print(text)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        target = "stdout" if args.out is None else args.out
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_IO_FAILURE
     return exit_code
 

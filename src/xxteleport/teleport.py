@@ -33,6 +33,8 @@ _GL_NODES = 16
 # Uniform phi angles whose discrete mean equals the continuous phi average for
 # trigonometric polynomials of degree <= 3 (the pointwise fidelity has degree 2).
 _PHI_MEAN_ANGLES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
+# Monte Carlo samples per kernel block.
+_MC_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,13 @@ def average_fidelity(p: ModelParams) -> FidelityReport:
                           method="analytic")
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for a non-negative integer seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     """Monte Carlo average over Haar-uniform inputs (cos theta ~ U[-1,1], phi ~ U[0,2pi)).
 
@@ -235,10 +244,16 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     w = np.asarray(bell_weights(rho))
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     u = rng.uniform(-1.0, 1.0, n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    f = fidelity_from_weights(w, u, phi)
+    # The phi samples become the fidelity samples in place, one block at a
+    # time, so a call holds two full-size arrays.  The arithmetic is
+    # elementwise, so the values do not depend on the block size.
+    f = rng.uniform(0.0, 2.0 * np.pi, n)
+    for start in range(0, n, _MC_BLOCK):
+        blk = slice(start, start + _MC_BLOCK)
+        f[blk] = fidelity_from_weights(w, u[blk], f[blk])
+    del u
     est = float(f.mean())
     err = float(f.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return FidelityReport(average=est, method="monte-carlo", samples=n, stderr=err)

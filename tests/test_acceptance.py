@@ -8,6 +8,8 @@ import math
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xxteleport.entanglement import concurrence, thermal_concurrence, \
     zero_entanglement_temperature
@@ -15,7 +17,7 @@ from xxteleport.model import ModelParams, gibbs_state, gibbs_state_oracle
 from xxteleport.phase import (ARCSINH_1, TABLE1_REFERENCE, better_than_classical,
                               critical_temperature, reproduce_table1)
 from xxteleport.teleport import (BELL_PROJECTORS, apply_channel, average_fidelity,
-                                 channel_fidelity, mc_average_fidelity,
+                                 bell_weights, channel_fidelity, mc_average_fidelity,
                                  output_fidelity, protocol_oracle,
                                  quadrature_average_fidelity)
 from xxteleport.verify import random_density, random_params, random_pure_qubit
@@ -176,3 +178,36 @@ def test_criterion_7_randomized_properties():
     report(7, "randomized-properties", ok,
            f"completeness dev={dev_complete:.2e}, trace dev={dev_trace:.2e}, "
            f"range ok={range_ok}, bracket ok={bracket_ok} on {n} cases each")
+
+
+def test_criterion_8_more_entanglement_lower_fidelity():
+    # (eta, T/J) -> (C, F) at J = 1, to the five decimals quoted for them.
+    quoted = {"A": ((0.99, 0.18), (0.50990, 0.67592)),
+              "B": ((0.0, 0.53), (0.50820, 0.83607))}
+    got = {}
+    for name, ((eta, t), (c_ref, f_ref)) in quoted.items():
+        p = ModelParams(j=1.0, b_m=eta, t=t)
+        got[name] = (thermal_concurrence(p), average_fidelity(p).average,
+                     better_than_classical(p))
+    close = all(abs(got[k][0] - c) < 5e-6 and abs(got[k][1] - f) < 5e-6
+                for k, (_, (c, f)) in quoted.items())
+    beats = got["A"][2] and got["B"][2]
+    ranked = got["A"][0] > got["B"][0] and got["A"][1] < got["B"][1]
+    ok = close and beats and ranked
+    report(8, "more-entanglement-lower-fidelity", ok,
+           f"A: C={got['A'][0]:.5f} F={got['A'][1]:.5f}, "
+           f"B: C={got['B'][0]:.5f} F={got['B'][1]:.5f}, both beat 2/3={beats}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(j=st.floats(-3.0, 3.0), b_m=st.floats(-3.0, 3.0), t=st.floats(0.05, 20.0))
+def test_fidelity_and_concurrence_from_bell_weights(j, b_m, t):
+    """F = (2 p_Psi- + 1)/3 (Pauli channel) and C = max(0, |p_Psi- - p_Psi+|
+    - 2 sqrt(rho_00 rho_33)) (X state), from the Bell weights of the Gibbs state."""
+    p = ModelParams(j=j, b_m=b_m, t=t)
+    rho = gibbs_state(p).rho
+    p_psi_minus, _, _, p_psi_plus = bell_weights(rho)
+    rho_00, rho_33 = rho[0, 0].real, rho[3, 3].real
+    assert abs(average_fidelity(p).average - (2.0 * p_psi_minus + 1.0) / 3.0) < 1e-12
+    c = max(0.0, abs(p_psi_minus - p_psi_plus) - 2.0 * math.sqrt(rho_00 * rho_33))
+    assert abs(thermal_concurrence(p) - c) < 1e-12

@@ -106,6 +106,12 @@ class TestFidelityCommand:
         assert abs(res["mc_estimate"] - res["avg_fidelity"]) < 3 * res["mc_stderr"]
         assert doc["metadata"]["seed"] == 3
 
+    def test_monte_carlo_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "fidelity", "--j", "1", "--t", "1",
+                                 "--mc-samples", "100", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_verify_flag(self, capsys):
         code, doc, _ = run_json(capsys, "fidelity", "--j", "1", "--bm", "0.3", "--t", "0.8",
                                 "--verify")
@@ -211,6 +217,16 @@ class TestSweepCommand:
         assert code == 4
         assert "cannot write" in err
 
+    def test_broken_stdout_named(self, capsys, monkeypatch):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = main(["sweep", "--steps", "2", "2"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
     def test_bad_steps(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--steps", "0", "5")
         assert code == 2
@@ -231,6 +247,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--grid-size", "20")
         assert code == 1
         assert "fail" in out
+
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--grid-size", "1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_json_status(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--grid-size", "40", "--seed", "0")

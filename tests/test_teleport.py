@@ -235,6 +235,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_average_fidelity(SINGLET, 0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            mc_average_fidelity(SINGLET, 10, seed=-1)
+
 
 class TestQuadrature:
     def test_matches_closed_form_on_grid(self):

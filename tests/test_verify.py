@@ -1,5 +1,8 @@
 """The array-form verify suite and the stacked oracles it runs on."""
 
+import json
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,15 @@ import xxteleport.entanglement as entanglement
 import xxteleport.model as model
 import xxteleport.teleport as teleport
 import xxteleport.verify as verify
+from xxteleport import cli
 from xxteleport.entanglement import concurrence, concurrence_stack
 from xxteleport.linalg import eigh, hermitian_function, validate_density
 from xxteleport.model import (ModelParams, ThermalState, gibbs_state, gibbs_state_oracle,
                               gibbs_state_oracle_stack)
-from xxteleport.teleport import (apply_channel, apply_channel_stack,
+from xxteleport.teleport import (FidelityReport, apply_channel, apply_channel_stack,
                                  bell_weights, bell_weights_stack, channel_fidelity,
-                                 channel_fidelity_stack, protocol_oracle,
+                                 channel_fidelity_stack, fidelity_from_weights,
+                                 mc_average_fidelity, protocol_oracle,
                                  protocol_oracle_stack, quadrature_average_fidelity,
                                  quadrature_average_fidelity_stack)
 from xxteleport.verify import (DEFAULT_TOLERANCES, random_density, random_params,
@@ -72,6 +77,99 @@ def test_same_points_per_seed():
 def test_rejects_empty_grid():
     with pytest.raises(ValueError, match="grid size"):
         run_verification(grid_size=0)
+
+
+def test_rejects_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        run_verification(seed=-1, grid_size=1)
+
+
+def reference_mc(rho, n, seed):
+    """The Monte Carlo estimate over whole sample arrays, one point at a time:
+    the reference that the block-wise kernel and the two-at-a-time verify
+    run must equal bit for bit."""
+    w = np.asarray(bell_weights(rho))
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    f = fidelity_from_weights(w, u, phi)
+    err = float(f.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return FidelityReport(average=float(f.mean()), method="monte-carlo", samples=n, stderr=err)
+
+
+class TestMonteCarloMatchesReference:
+    """Blocks and the helper thread change where the samples are computed,
+    never their values."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 4000, 8191, 8192, 8193, 200_000, 1_000_003])
+    def test_kernel_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        rhos = [gibbs_state(random_params(rng)).rho, random_density(rng)]
+        for rho in rhos:
+            for seed in (0, 7, 2**31 - 1):
+                got = mc_average_fidelity(rho, n, seed=seed)
+                want = reference_mc(rho, n, seed)
+                assert (got.average.hex(), got.stderr.hex()) == \
+                    (want.average.hex(), want.stderr.hex())
+
+    def test_fidelity_command_bitwise(self, capsys):
+        point = ["--j", "1", "--bm", "0.5", "--t", "1"]
+        for n, seed in ((200_000, 3), (9000, 11), (1, 0)):
+            argv = ["fidelity", *point, "--mc-samples", str(n), "--seed", str(seed)]
+            assert cli.main(argv + ["--format", "json"]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            want = reference_mc(gibbs_state(ModelParams(1.0, 0.5, 1.0)).rho, n, seed)
+            assert (result["mc_estimate"], result["mc_stderr"]) == (want.average, want.stderr)
+
+    @pytest.mark.parametrize("grid_size,seeds", [(10, range(10)), (80, range(10)),
+                                                 (150, range(10)), (50, [122])])
+    def test_verification_bitwise(self, monkeypatch, grid_size, seeds):
+        def deviations(seed):
+            return [r.max_deviation for r in run_verification(seed=seed, grid_size=grid_size)]
+
+        got = {seed: deviations(seed) for seed in seeds}
+        monkeypatch.setattr(verify, "_mc_reports", lambda rhos, mc_seeds: [
+            reference_mc(rho, verify._MC_SAMPLES, s) for rho, s in zip(rhos, mc_seeds)])
+        assert got == {seed: deviations(seed) for seed in seeds}
+
+
+class PointFailed(Exception):
+    pass
+
+
+class TestMonteCarloThreads:
+    """run_verification runs the Monte Carlo points on the calling thread and
+    on exactly one helper thread, which never outlives the call."""
+
+    def test_one_helper_joined(self, monkeypatch):
+        threads = []
+
+        def recording(rho, n, seed):
+            threads.append(threading.get_ident())
+            return mc_average_fidelity(rho, n, seed)
+
+        monkeypatch.setattr(verify, "mc_average_fidelity", recording)
+        before = threading.active_count()
+        run_verification(seed=4, grid_size=20)
+        assert threading.active_count() == before
+        assert len(threads) == verify._MC_POINTS
+        helpers = set(threads) - {threading.get_ident()}
+        assert len(helpers) == 1
+        assert threads.count(threading.get_ident()) == (verify._MC_POINTS + 1) // 2
+
+    @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
+    def test_failure_reaches_caller(self, monkeypatch, on_helper):
+        def failing(rho, n, seed):
+            if (threading.current_thread() is threading.main_thread()) != on_helper:
+                raise PointFailed("point 2 failed" if on_helper else "point 1 failed")
+            return mc_average_fidelity(rho, n, seed)
+
+        monkeypatch.setattr(verify, "mc_average_fidelity", failing)
+        before = threading.active_count()
+        with pytest.raises(PointFailed, match="^point 2 failed$" if on_helper
+                           else "^point 1 failed$"):
+            run_verification(seed=4, grid_size=20)
+        assert threading.active_count() == before
 
 
 @pytest.fixture
