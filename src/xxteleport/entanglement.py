@@ -49,7 +49,7 @@ def concurrence_stack(rhos) -> tuple[np.ndarray, np.ndarray]:
     which would cost half the working precision on almost-pure states.  The
     concurrence is max(l1 - l2 - l3 - l4, 0) over the decreasing l_k.
     """
-    rhos = validate_density(rhos, dim=4)
+    rhos = validate_density(rhos)
     sq = hermitian_function(rhos, lambda x: np.sqrt(np.maximum(x, 0.0)))
     w = np.linalg.svd(sq @ SPIN_FLIP @ sq.swapaxes(-1, -2), compute_uv=False)
     if not np.all(np.isfinite(w)) or w.min() < -NEGATIVE_EIG_TOL:

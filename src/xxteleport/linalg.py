@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for 2-, 4- and 8-dimensional Hermitian problems.
+"""Dense complex linear algebra for 2- and 4-dimensional Hermitian problems.
 
 All matrices are plain complex ndarrays.  Sizes are tiny, so the emphasis is
 on strict validation: bad inputs fail loudly instead of propagating NaNs or
@@ -15,7 +15,7 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 DENSITY_ATOL = 1e-12
 
-ALLOWED_DIMS = (2, 4, 8)
+ALLOWED_DIMS = (2, 4)
 
 # Pauli matrices sigma_0..sigma_3 (identity, x, y, z).
 SIGMA = (
@@ -55,16 +55,15 @@ def validate_hermitian(m, name: str = "matrix", atol: float = HERMITIAN_ATOL) ->
     return a
 
 
-def validate_density(rho, dim: int | None = None, name: str = "rho",
-                     atol: float = DENSITY_ATOL) -> np.ndarray:
-    """Validate a density matrix (d, d), or each member of a stack (N, d, d):
-    Hermitian, unit trace, spectrum >= -atol.  A stack fails with the message
-    its first bad member would give on its own.
+def validate_density(rho, name: str = "rho", atol: float = DENSITY_ATOL) -> np.ndarray:
+    """Validate a two-qubit density matrix (4, 4), or each member of a stack
+    (N, 4, 4): Hermitian, unit trace, spectrum >= -atol.  A stack fails with
+    the message its first bad member would give on its own.
     """
     a = validate_hermitian(rho, name, atol)
     d = a.shape[-1]
-    if dim is not None and d != dim:
-        raise ValueError(f"{name} must be {dim}x{dim}, got {d}x{d}")
+    if d != 4:
+        raise ValueError(f"{name} must be 4x4, got {d}x{d}")
     tr = a.diagonal(0, -2, -1).sum(-1)
     bad = np.abs(tr - 1.0) > atol
     if bad.any():
@@ -76,24 +75,17 @@ def validate_density(rho, dim: int | None = None, name: str = "rho",
     return a
 
 
-def eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (eigenvalues, eigenvectors) of a Hermitian matrix, or
-    of each member of a stack (N, d, d): eigenvalues ascending along the last
-    axis, eigenvectors as orthonormal columns."""
+def hermitian_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Spectral function V diag(f(lambda)) V^dagger of a Hermitian matrix or stack.
+
+    f is applied once to the whole real eigenvalue array, shape (d,) or
+    (N, d), ascending along the last axis, and must return real values of
+    the same shape.
+    """
     a = validate_hermitian(m, "m")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"Hermitian eigensolver failed to converge: {exc}") from exc
-    return w, v
-
-
-def hermitian_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Spectral function V diag(f(lambda)) V^dagger of a Hermitian matrix or stack.
-
-    f is applied once to the whole real eigenvalue array, shape (d,) or
-    (N, d), and must return real values of the same shape.
-    """
-    w, v = eigh(m)
     fw = np.asarray(f(w), dtype=float)
     return (v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2)

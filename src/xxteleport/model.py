@@ -1,4 +1,4 @@
-"""Two-qubit XX chain in a uniform z field: Hamiltonian, spectrum, thermal state.
+"""Two-qubit XX chain in a uniform z field: parameters and thermal state.
 
     H = (J/2)(sx (x) sx + sy (x) sy) + (B_m/2)(sz (x) 1 + 1 (x) sz)
 
@@ -17,13 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import SIGMA, hermitian_function
-
-KET_00 = np.array([1, 0, 0, 0], dtype=complex)
-KET_11 = np.array([0, 0, 0, 1], dtype=complex)
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-for _k in (KET_00, KET_11, PSI_PLUS, PSI_MINUS):
-    _k.flags.writeable = False
 
 # The two Pauli-product terms of H: sx(x)sx + sy(x)sy and sz(x)1 + 1(x)sz.
 _COUPLING_TERM = np.kron(SIGMA[1], SIGMA[1]) + np.kron(SIGMA[2], SIGMA[2])
@@ -65,41 +58,17 @@ class ModelParams:
     def beta(self) -> float:
         return 1.0 / self.t
 
-    @property
-    def eta(self) -> float:
-        """Field ratio b_m / j; undefined for j = 0."""
-        if self.j == 0.0:
-            raise ValueError("eta is undefined for j = 0")
-        return self.b_m / self.j
-
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Equilibrium density matrix (4x4) together with its partition function."""
+    """Equilibrium density matrix (4x4)."""
 
     rho: np.ndarray
-    z: float
 
 
 def _hamiltonian(j, b_m) -> np.ndarray:
     """H for scalar (j, b_m), shape (4, 4), or for arrays of them, shape (N, 4, 4)."""
     return 0.5 * (np.multiply.outer(j, _COUPLING_TERM) + np.multiply.outer(b_m, _FIELD_TERM))
-
-
-def build_hamiltonian(p: ModelParams) -> np.ndarray:
-    """4x4 Hermitian XX Hamiltonian for the given coupling and field."""
-    return _hamiltonian(p.j, p.b_m)
-
-
-def analytic_spectrum(p: ModelParams) -> list[tuple[float, np.ndarray]]:
-    """The four exact eigenpairs: (B_m, |00>), (J, |Psi+>), (-J, |Psi->), (-B_m, |11>)."""
-    return [(p.b_m, KET_00), (p.j, PSI_PLUS), (-p.j, PSI_MINUS), (-p.b_m, KET_11)]
-
-
-def partition_function(p: ModelParams) -> float:
-    """Z = 2 cosh(beta B_m) + 2 cosh(beta J).  Overflows to inf for beta*energy > ~710."""
-    with np.errstate(over="ignore"):
-        return float(2.0 * np.cosh(p.beta * p.b_m) + 2.0 * np.cosh(p.beta * p.j))
 
 
 def hyperbolic_weights(j, b_m, t):
@@ -139,12 +108,12 @@ def gibbs_state(p: ModelParams) -> ThermalState:
     rho[1, 1] = rho[2, 2] = 0.5 * (pop[1] + pop[2])
     rho[1, 2] = rho[2, 1] = 0.5 * (pop[1] - pop[2])
     rho.flags.writeable = False
-    return ThermalState(rho=rho, z=partition_function(p))
+    return ThermalState(rho=rho)
 
 
-def gibbs_state_oracle_stack(params: Sequence[ModelParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Thermal states (N, 4, 4) and partition functions (N,) of N parameter
-    points, by numerically exponentiating each H; cross-validation path only."""
+def gibbs_state_oracle_stack(params: Sequence[ModelParams]) -> np.ndarray:
+    """Thermal states (N, 4, 4) of N parameter points, by numerically
+    exponentiating each H; cross-validation path only."""
     j, b_m, beta = np.array([(p.j, p.b_m, p.beta) for p in params], dtype=float).reshape(-1, 3).T
     if np.any(np.abs(beta * j) > MAX_BETA_ENERGY) or np.any(np.abs(beta * b_m) > MAX_BETA_ENERGY):
         raise ValueError("beta*energy too large for the matrix-exponential path")
@@ -152,10 +121,4 @@ def gibbs_state_oracle_stack(params: Sequence[ModelParams]) -> tuple[np.ndarray,
     z = np.trace(em, axis1=1, axis2=2).real
     rho = em / z[:, None, None]
     rho.flags.writeable = False
-    return rho, z
-
-
-def gibbs_state_oracle(p: ModelParams) -> ThermalState:
-    """Thermal state by numerically exponentiating H; cross-validation path only."""
-    rho, z = gibbs_state_oracle_stack([p])
-    return ThermalState(rho=rho[0], z=float(z[0]))
+    return rho

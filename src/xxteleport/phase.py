@@ -86,7 +86,7 @@ def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
     if eta >= 1.0:
         raise NoClassicalAdvantageError(
             f"no classical-beating temperature exists for B_m >= J (eta = {eta})")
-    if eta <= 0.0:
+    if not eta > 0.0:  # NaN included
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
 
     lo, hi = ARCSINH_1, BRACKET_HIGH

@@ -24,11 +24,6 @@ import numpy as np
 from .linalg import SIGMA, stack_of_one, validate_density
 from .model import ModelParams, hyperbolic_weights
 
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-for _k in (PHI_PLUS, PHI_MINUS):
-    _k.flags.writeable = False
-
 _GL_NODES = 16
 # Uniform phi angles whose discrete mean equals the continuous phi average for
 # trigonometric polynomials of degree <= 3 (the pointwise fidelity has degree 2).
@@ -52,13 +47,9 @@ class PureQubit:
             raise ValueError("Bloch angles must be finite")
         if not 0.0 <= self.theta <= np.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi", self.phi % (2.0 * np.pi))
-
-    def ket(self) -> np.ndarray:
-        return _kets(self.theta, self.phi)
-
-    def density(self) -> np.ndarray:
-        return _densities(self.ket())
+        phi = self.phi % (2.0 * np.pi)
+        # A tiny negative phi rounds up to 2*pi itself, the one excluded value.
+        object.__setattr__(self, "phi", 0.0 if phi == 2.0 * np.pi else phi)
 
 
 def _kets(theta, phi) -> np.ndarray:
@@ -88,10 +79,10 @@ def _overlaps(kets: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Average teleportation fidelity plus how it was obtained."""
+    """Average teleportation fidelity, with the sample count and standard
+    error of a Monte Carlo estimate."""
 
     average: float
-    method: str  # analytic | quadrature | monte-carlo | protocol-oracle
     samples: int | None = None
     stderr: float | None = None
 
@@ -119,7 +110,7 @@ for _m in (BELL_PROJECTORS, _PAULI_CONJUGATIONS):
 def bell_weights_stack(rhos) -> np.ndarray:
     """Bell weights p_j = tr(E_j rho), shape (N, 4), of each 4x4 density matrix
     in a stack (N, 4, 4); roundoff clamped at zero, each row summing to one."""
-    rhos = validate_density(rhos, dim=4)
+    rhos = validate_density(rhos)
     # tr(E rho) = sum_ab E_ab rho_ba, and every E is real symmetric.
     p = (rhos.reshape(-1, 16) @ BELL_PROJECTORS.reshape(4, 16).T).real
     bad = p < -1e-12
@@ -163,15 +154,10 @@ def channel_fidelity_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
     return _overlaps(_input_kets(psis), apply_channel_stack(rhos, psis))
 
 
-def channel_fidelity(rho, psi: PureQubit) -> float:
-    """<psi| Lambda(|psi><psi|) |psi> for the channel defined by the resource rho."""
-    return float(channel_fidelity_stack(stack_of_one(rho, "rho"), [psi])[0])
-
-
 def fidelity_from_weights(weights, cos_theta, phi):
     """Pointwise fidelity sum_j p_j <s_j>^2 from the Bloch components of the input.
 
-    Vectorized over cos_theta and phi; equals channel_fidelity on the same
+    Vectorized over cos_theta and phi; equals channel_fidelity_stack on the same
     input (see tests), but costs no matrix algebra per point.
     """
     w = np.asarray(weights, dtype=float)
@@ -225,12 +211,19 @@ def average_fidelity_array(j, b_m, t):
 
 def average_fidelity(p: ModelParams) -> FidelityReport:
     """Closed-form Bloch-sphere average fidelity at one parameter point."""
-    return FidelityReport(average=float(average_fidelity_array(p.j, p.b_m, p.t)),
-                          method="analytic")
+    return FidelityReport(average=float(average_fidelity_array(p.j, p.b_m, p.t)))
+
+
+def _require_int(value, name: str) -> None:
+    """Reject a bool or a non-integer count or seed: numpy would take True as 1
+    and refuse 2.5 with its own TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator for a non-negative integer seed."""
+    _require_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
@@ -241,6 +234,7 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
 
     Deterministic for a fixed seed; reports the standard error of the mean.
     """
+    _require_int(n, "sample count")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     w = np.asarray(bell_weights(rho))
@@ -256,7 +250,7 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     del u
     est = float(f.mean())
     err = float(f.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return FidelityReport(average=est, method="monte-carlo", samples=n, stderr=err)
+    return FidelityReport(average=est, samples=n, stderr=err)
 
 
 @functools.cache
@@ -287,13 +281,6 @@ def quadrature_average_fidelity_stack(rhos) -> np.ndarray:
     return 0.5 * (band @ gl_weights)
 
 
-def quadrature_average_fidelity(rho) -> FidelityReport:
-    """Deterministic Bloch-sphere average through the actual channel machinery
-    (see quadrature_average_fidelity_stack)."""
-    avg = quadrature_average_fidelity_stack(stack_of_one(rho, "rho"))[0]
-    return FidelityReport(average=float(avg), method="quadrature")
-
-
 # Pauli corrections per Bell outcome, index-matched to the projector set; this
 # assignment is the one that turns the |Psi-> resource into the identity
 # channel (phases are unobservable at the density-matrix level).
@@ -317,7 +304,7 @@ def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> tuple[np.ndarray, 
     and sums the weighted post-measurement states.  Returns the outputs
     (N, 2, 2) and the four Bell outcome probabilities (N, 4).
     """
-    rhos = validate_density(rhos, dim=4)
+    rhos = validate_density(rhos)
     rho_in = _densities(_input_kets(psis))
     total = np.einsum("nab,ncd->nacbd", rho_in, rhos).reshape(-1, 8, 8)
     post = _MEASUREMENT @ total[:, None] @ _MEASUREMENT
@@ -327,13 +314,7 @@ def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> tuple[np.ndarray, 
     return out, probs
 
 
-def protocol_oracle(rho, psi: PureQubit, return_outcomes: bool = False):
-    """Literal three-qubit run of the protocol on input (x) A (x) B.
-
-    Returns the 2x2 output density matrix, optionally with the four Bell
-    outcome probabilities (see protocol_oracle_stack).
-    """
-    out, probs = protocol_oracle_stack(stack_of_one(rho, "rho"), [psi])
-    if return_outcomes:
-        return out[0], tuple(float(q) for q in probs[0])
-    return out[0]
+def protocol_oracle(rho, psi: PureQubit) -> np.ndarray:
+    """Literal three-qubit run of the protocol on input (x) A (x) B: the 2x2
+    output density matrix (see protocol_oracle_stack)."""
+    return protocol_oracle_stack(stack_of_one(rho, "rho"), [psi])[0][0]

@@ -17,10 +17,10 @@ import numpy as np
 
 from .entanglement import concurrence_stack, thermal_concurrence_array
 from .model import ModelParams, gibbs_state, gibbs_state_oracle_stack
-from .phase import reproduce_table1, table1_deviations
-from .teleport import (FidelityReport, PureQubit, _seeded_rng, apply_channel_stack,
-                       average_fidelity_array, channel_fidelity_stack, mc_average_fidelity,
-                       output_fidelity_array, protocol_oracle_stack,
+from .phase import TABLE1_TOLERANCE, reproduce_table1, table1_deviations
+from .teleport import (FidelityReport, PureQubit, _require_int, _seeded_rng,
+                       apply_channel_stack, average_fidelity_array, channel_fidelity_stack,
+                       mc_average_fidelity, output_fidelity_array, protocol_oracle_stack,
                        quadrature_average_fidelity_stack)
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -30,7 +30,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "pointwise-fidelity-vs-channel": 1e-12,
     "average-fidelity-vs-quadrature": 1e-10,
     "average-fidelity-vs-monte-carlo": 3.0,  # units of MC standard error
-    "table1-reproduction": 1e-5,
+    "table1-reproduction": TABLE1_TOLERANCE,
 }
 
 _MC_POINTS = 5
@@ -55,9 +55,9 @@ def random_params(rng: np.random.Generator) -> ModelParams:
                        t=rng.uniform(0.1, 5.0))
 
 
-def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Random mixed state, normalized A A^dagger with complex Gaussian A."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng: np.random.Generator) -> np.ndarray:
+    """Random two-qubit mixed state, normalized A A^dagger with complex Gaussian A (4x4)."""
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = a @ a.conj().T
     return m / np.trace(m).real
 
@@ -104,14 +104,11 @@ def _mc_reports(rhos: np.ndarray, seeds: list[int]) -> list[FidelityReport]:
     return reports
 
 
-def run_verification(seed: int = 0, grid_size: int = 1000,
-                     tolerances: dict[str, float] | None = None) -> list[CheckResult]:
+def run_verification(seed: int = 0, grid_size: int = 1000) -> list[CheckResult]:
     """Run every consistency check; deterministic for a fixed seed."""
+    _require_int(grid_size, "grid size")
     if grid_size < 1:
         raise ValueError(f"grid size must be >= 1, got {grid_size}")
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     rng = _seeded_rng(seed)
     # Draw order is fixed: the grid points, then a (state, input) pair per
     # point, then one input per point, then the Monte Carlo seeds.
@@ -128,7 +125,7 @@ def run_verification(seed: int = 0, grid_size: int = 1000,
 
     dev = {
         "gibbs-analytic-vs-matrix-exponential":
-            _max_abs(thermal, gibbs_state_oracle_stack(params)[0]),
+            _max_abs(thermal, gibbs_state_oracle_stack(params)),
         "concurrence-closed-form-vs-spin-flip":
             _max_abs(thermal_concurrence_array(j, b_m, t), concurrence_stack(thermal)[1]),
         "channel-vs-protocol-oracle":
@@ -150,4 +147,4 @@ def run_verification(seed: int = 0, grid_size: int = 1000,
 
     dev["table1-reproduction"] = float(max(table1_deviations(reproduce_table1())))
 
-    return [CheckResult(name, dev[name], tol[name]) for name in DEFAULT_TOLERANCES]
+    return [CheckResult(name, dev[name], tol) for name, tol in DEFAULT_TOLERANCES.items()]

@@ -137,6 +137,11 @@ class TestCriticalCommand:
         code, _, _ = run_cli(capsys, "critical", "--eta", "-0.5")
         assert code == 2
 
+    def test_nan_eta_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "critical", "--eta", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: eta must lie in (0, 1), got nan\n"
+
     def test_infinite_coupling_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "critical", "--eta", "0.5", "--j", "inf")
         assert (code, out) == (2, "")

@@ -6,8 +6,10 @@ import pytest
 from xxteleport.entanglement import (AlwaysSeparableError, concurrence,
                                      thermal_concurrence,
                                      zero_entanglement_temperature)
-from xxteleport.model import PSI_MINUS, ModelParams, gibbs_state
+from xxteleport.model import ModelParams, gibbs_state
 from xxteleport.verify import random_density
+
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
 def closed_form(j, b_m, t):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from xxteleport.linalg import SIGMA, eigh, hermitian_function, validate_density
-from xxteleport.model import PSI_MINUS, ModelParams, build_hamiltonian
+from xxteleport.linalg import SIGMA, hermitian_function, validate_density
+from xxteleport.model import _hamiltonian
+
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
 def random_hermitian(rng, dim=4, scale=1.0):
@@ -40,43 +42,70 @@ class TestKron:
             assert abs(np.trace(np.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
 
 
+def spectrum(m) -> np.ndarray:
+    """The eigenvalues hermitian_function hands to f."""
+    seen = []
+
+    def record(w):
+        seen.append(w)
+        return w
+
+    hermitian_function(m, record)
+    return seen[0]
+
+
+def ones(w):
+    return np.ones_like(w)
+
+
 class TestEigh:
+    """The eigensolver inside hermitian_function: ascending real eigenvalues,
+    orthonormal eigenvectors, strict input checks."""
+
     def test_sz(self):
-        # a plain tuple on every supported numpy, not numpy 2's EighResult
-        assert type(eigh(SIGMA[3])) is tuple
-        assert np.allclose(eigh(SIGMA[3])[0], [-1, 1], atol=1e-15)
+        assert np.array_equal(spectrum(SIGMA[3]), [-1.0, 1.0])
+        assert np.allclose(hermitian_function(SIGMA[3], lambda w: w), SIGMA[3], atol=1e-15)
 
     def test_sx(self):
-        w, v = eigh(SIGMA[1])
-        assert np.allclose(w, [-1, 1], atol=1e-15)
-        # eigenvectors are (1, -1)/sqrt2 and (1, 1)/sqrt2 up to phase
-        minus = np.array([1, -1]) / np.sqrt(2)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        assert abs(abs(minus @ v[:, 0]) - 1) < 1e-12
-        assert abs(abs(plus @ v[:, 1]) - 1) < 1e-12
+        assert np.allclose(spectrum(SIGMA[1]), [-1, 1], atol=1e-15)
+        # the eigenvector of +1 is (1, 1)/sqrt2 up to phase: its projector is all 1/2
+        plus = hermitian_function(SIGMA[1], lambda w: (w > 0).astype(float))
+        assert np.allclose(plus, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_xx_hamiltonian_spectrum(self):
-        h = build_hamiltonian(ModelParams(j=1.0, b_m=0.5, t=1.0))
-        assert np.allclose(eigh(h)[0], [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
+        h = _hamiltonian(1.0, 0.5)
+        assert np.allclose(spectrum(h), [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+            hermitian_function(np.array([[0, 1], [0, 0]], dtype=complex), ones)
 
     def test_rejects_non_finite(self):
         m = np.eye(2, dtype=complex)
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
-            eigh(m)
+            hermitian_function(m, ones)
+
+    def test_rejects_unsupported_dimension(self):
+        with pytest.raises(ValueError, match=r"dimension must be one of \(2, 4\), got 8"):
+            hermitian_function(np.eye(8, dtype=complex), ones)
+
+    def test_non_convergence_raises_runtime_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            hermitian_function(SIGMA[3], ones)
 
     def test_random_hermitian_properties(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             m = random_hermitian(rng, 4)
-            w, v = eigh(m)
-            assert np.all(np.diff(w) >= 0)
-            assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
-            assert np.abs((v * w) @ v.conj().T - m).max() < 1e-12
+            assert np.all(np.diff(spectrum(m)) >= 0)
+            # V V^dagger = 1 (orthonormal columns) and V diag(w) V^dagger = m
+            assert np.abs(hermitian_function(m, ones) - np.eye(4)).max() < 1e-12
+            assert np.abs(hermitian_function(m, lambda w: w) - m).max() < 1e-12
 
 
 class TestHermitianFunction:
@@ -118,3 +147,7 @@ class TestDensityValidation:
     def test_rejects_negative_spectrum(self):
         with pytest.raises(ValueError):
             validate_density(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+    def test_rejects_one_qubit_state(self):
+        with pytest.raises(ValueError, match=r"^rho must be 4x4, got 2x2$"):
+            validate_density(np.eye(2) / 2)

@@ -6,11 +6,16 @@ import pytest
 
 from xxteleport.entanglement import thermal_concurrence
 from xxteleport.linalg import hermitian_function
-from xxteleport.model import (KET_00, KET_11, PSI_MINUS, PSI_PLUS, ModelParams,
-                              analytic_spectrum, build_hamiltonian, gibbs_state,
-                              gibbs_state_oracle, partition_function)
+from xxteleport.model import (ModelParams, _hamiltonian, gibbs_state, gibbs_state_oracle_stack,
+                              hyperbolic_weights)
 from xxteleport.phase import better_than_classical
 from xxteleport.teleport import average_fidelity
+
+# The eigenbasis of H: |00>, |Psi+>, |Psi->, |11>, with energies B_m, J, -J, -B_m.
+KET_00 = np.array([1, 0, 0, 0], dtype=complex)
+KET_11 = np.array([0, 0, 0, 1], dtype=complex)
+PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 PARAM_GRID = [ModelParams(j, b, t)
               for j in np.linspace(-2, 2, 10)
@@ -26,11 +31,6 @@ class TestModelParams:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature must be positive"):
             ModelParams(j=1.0, b_m=0.0, t=-1.0)
-
-    def test_eta(self):
-        assert ModelParams(j=2.0, b_m=1.0, t=1.0).eta == 0.5
-        with pytest.raises(ValueError):
-            _ = ModelParams(j=0.0, b_m=1.0, t=1.0).eta
 
     @pytest.mark.parametrize("t", [5e-324, 1e-310])
     def test_non_finite_beta_rejected(self, t):
@@ -61,50 +61,61 @@ class TestModelParams:
             assert better_than_classical(p)
 
 
+def eigenpairs(p: ModelParams):
+    return [(p.b_m, KET_00), (p.j, PSI_PLUS), (-p.j, PSI_MINUS), (-p.b_m, KET_11)]
+
+
+def partition_function(p: ModelParams) -> float:
+    """Z = 2 cosh(beta B_m) + 2 cosh(beta J) from the scaled hyperbolic weights."""
+    ch_b, ch_j, _, scale = hyperbolic_weights(p.j, p.b_m, p.t)
+    return float(2.0 * (ch_b + ch_j) / scale)
+
+
 class TestHamiltonian:
+    """The H that the matrix-exponential oracle exponentiates."""
+
     def test_pure_zeeman(self):
-        h = build_hamiltonian(ModelParams(j=0.0, b_m=1.0, t=1.0))
+        h = _hamiltonian(0.0, 1.0)
         assert np.abs(h - np.diag([1.0, 0.0, 0.0, -1.0])).max() < 1e-15
 
     def test_pure_coupling(self):
         # expanding the two kron terms by hand leaves J only at (1,2) and (2,1)
-        h = build_hamiltonian(ModelParams(j=1.0, b_m=0.0, t=1.0))
+        h = _hamiltonian(1.0, 0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = expected[2, 1] = 1.0
         assert np.abs(h - expected).max() < 1e-15
 
     def test_hermitian(self):
         for p in PARAM_GRID[::37]:
-            h = build_hamiltonian(p)
+            h = _hamiltonian(p.j, p.b_m)
             assert np.abs(h - h.conj().T).max() < 1e-15
 
     def test_spectrum(self):
-        h = build_hamiltonian(ModelParams(j=1.0, b_m=0.5, t=1.0))
+        h = _hamiltonian(1.0, 0.5)
         assert np.allclose(np.linalg.eigvalsh(h), [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
 
 
 class TestAnalyticSpectrum:
+    """H has the eigenbasis and energies the module docstring states."""
+
     def test_eigenpair_identity(self):
         for p in PARAM_GRID[::23]:
-            h = build_hamiltonian(p)
-            for energy, vec in analytic_spectrum(p):
+            h = _hamiltonian(p.j, p.b_m)
+            for energy, vec in eigenpairs(p):
                 assert np.abs(h @ vec - energy * vec).max() < 1e-12
 
     def test_values_no_field(self):
-        vals = [e for e, _ in analytic_spectrum(ModelParams(j=1.0, b_m=0.0, t=1.0))]
-        assert vals == [0.0, 1.0, -1.0, 0.0]
+        vals = np.linalg.eigvalsh(_hamiltonian(1.0, 0.0))
+        assert np.allclose(vals, [-1.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     def test_values_general(self):
-        vals = [e for e, _ in analytic_spectrum(ModelParams(j=2.0, b_m=3.0, t=1.0))]
-        assert vals == [3.0, 2.0, -2.0, -3.0]
-
-    def test_vector_order(self):
-        _, vecs = zip(*analytic_spectrum(ModelParams(j=1.0, b_m=1.0, t=1.0)))
-        for got, want in zip(vecs, (KET_00, PSI_PLUS, PSI_MINUS, KET_11)):
-            assert np.array_equal(got, want)
+        vals = np.linalg.eigvalsh(_hamiltonian(2.0, 3.0))
+        assert np.allclose(vals, [-3.0, -2.0, 2.0, 3.0], atol=1e-14)
 
 
 class TestPartitionFunction:
+    """The normalisation 2 (cosh bB + cosh bJ) that every closed form divides by."""
+
     def test_high_temperature_limit(self):
         z = partition_function(ModelParams(j=1.0, b_m=0.5, t=1e12))
         assert abs(z - 4.0) < 1e-9
@@ -140,24 +151,25 @@ class TestGibbsState:
     def test_matches_matrix_exponential(self):
         for p in PARAM_GRID:
             beta = p.beta
-            em = hermitian_function(build_hamiltonian(p), lambda x: np.exp(-beta * x))
+            em = hermitian_function(_hamiltonian(p.j, p.b_m), lambda x: np.exp(-beta * x))
             oracle = em / np.trace(em).real
             assert np.abs(gibbs_state(p).rho - oracle).max() < 1e-10
 
     def test_populations(self):
         p = ModelParams(j=1.0, b_m=0.5, t=1.0)
-        state = gibbs_state(p)
-        z = state.z
-        rho = state.rho
+        z = 2 * math.cosh(0.5) + 2 * math.cosh(1.0)
+        rho = gibbs_state(p).rho
         assert abs(rho[0, 0].real - math.exp(-0.5) / z) < 1e-12
         assert abs(rho[3, 3].real - math.exp(0.5) / z) < 1e-12
         assert abs((PSI_PLUS.conj() @ rho @ PSI_PLUS).real - math.exp(-1.0) / z) < 1e-12
         assert abs((PSI_MINUS.conj() @ rho @ PSI_MINUS).real - math.exp(1.0) / z) < 1e-12
 
     def test_partition_function_invariant(self):
+        # the Boltzmann factor of |00> over Z is its population
         for p in PARAM_GRID[::29]:
-            state = gibbs_state(p)
-            assert abs(state.z - partition_function(p)) < 1e-12 * max(1.0, state.z)
+            rho = gibbs_state(p).rho
+            want = math.exp(-p.beta * p.b_m) / partition_function(p)
+            assert abs(rho[0, 0].real - want) < 1e-12
 
     def test_diagonal_structure(self):
         rho = gibbs_state(ModelParams(j=1.3, b_m=0.7, t=0.8)).rho
@@ -191,17 +203,18 @@ class TestGibbsState:
 
 class TestGibbsOracle:
     def test_free_hamiltonian(self):
-        rho = gibbs_state_oracle(ModelParams(j=0.0, b_m=0.0, t=1.0)).rho
+        rho = gibbs_state_oracle_stack([ModelParams(j=0.0, b_m=0.0, t=1.0)])[0]
         assert np.abs(rho - np.eye(4) / 4).max() < 1e-12
 
     def test_normalization(self):
-        rho = gibbs_state_oracle(ModelParams(j=1.0, b_m=1.0, t=1.0)).rho
+        rho = gibbs_state_oracle_stack([ModelParams(j=1.0, b_m=1.0, t=1.0)])[0]
         assert abs(np.trace(rho).real - 1.0) < 1e-12
 
     def test_grid_agreement(self):
-        for p in PARAM_GRID[::7]:
-            assert np.abs(gibbs_state(p).rho - gibbs_state_oracle(p).rho).max() < 1e-10
+        params = PARAM_GRID[::7]
+        for p, rho in zip(params, gibbs_state_oracle_stack(params)):
+            assert np.abs(gibbs_state(p).rho - rho).max() < 1e-10
 
     def test_beta_range_guard(self):
         with pytest.raises(ValueError):
-            gibbs_state_oracle(ModelParams(j=1.0, b_m=0.0, t=1e-4))
+            gibbs_state_oracle_stack([ModelParams(j=1.0, b_m=0.0, t=1e-4)])

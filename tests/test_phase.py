@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xxteleport.phase as phase
 from xxteleport.entanglement import thermal_concurrence
 from xxteleport.model import ModelParams
 from xxteleport.phase import (ARCSINH_1, ROOT_TOL, TABLE1_REFERENCE, TABLE1_TOLERANCE,
@@ -90,8 +91,14 @@ class TestCriticalTemperature:
         assert point.solver_residual <= ROOT_TOL
         assert point.residual_concurrence < 1e-9
 
-    def test_bracket_without_sign_change_rejected(self):
+    def test_bracket_without_sign_change_rejected(self, monkeypatch):
+        # sinh(0.9) < cosh(0.45): a bracket ending at 0.9 holds no root for eta = 0.5
+        monkeypatch.setattr(phase, "BRACKET_HIGH", 0.9)
         with pytest.raises(ValueError, match="does not change sign"):
+            critical_temperature(0.5)
+
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\), got nan$"):
             critical_temperature(float("nan"))
 
     @pytest.mark.parametrize("j", [math.inf, math.nan])

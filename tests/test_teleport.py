@@ -1,15 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from xxteleport.model import PSI_MINUS, PSI_PLUS, ModelParams, gibbs_state
-from xxteleport.teleport import (BELL_PROJECTORS, PHI_MINUS, PHI_PLUS, PureQubit,
-                                 apply_channel, average_fidelity, bell_weights,
-                                 channel_fidelity, fidelity_from_weights,
-                                 mc_average_fidelity, output_fidelity,
-                                 protocol_oracle, quadrature_average_fidelity)
+from xxteleport.model import ModelParams, gibbs_state
+from xxteleport.teleport import (BELL_PROJECTORS, PureQubit, apply_channel, average_fidelity,
+                                 bell_weights, channel_fidelity_stack, fidelity_from_weights,
+                                 mc_average_fidelity, output_fidelity, protocol_oracle,
+                                 protocol_oracle_stack, quadrature_average_fidelity_stack)
 from xxteleport.verify import random_density, random_pure_qubit
+
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
+PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 
 # singlet density matrix with exact dyadic entries
 SINGLET = np.zeros((4, 4), dtype=complex)
@@ -23,6 +28,23 @@ def closed_form_average(j, b_m, t):
     beta = 1.0 / t
     return ((math.cosh(beta * b_m) + 2 * math.cosh(beta * j) + math.sinh(beta * j))
             / (3 * (math.cosh(beta * b_m) + math.cosh(beta * j))))
+
+
+def ket(psi: PureQubit) -> np.ndarray:
+    return np.array([math.cos(psi.theta / 2),
+                     complex(math.cos(psi.phi), math.sin(psi.phi)) * math.sin(psi.theta / 2)])
+
+
+def density(psi: PureQubit) -> np.ndarray:
+    return np.outer(ket(psi), ket(psi).conj())
+
+
+def channel_fidelity(rho, psi: PureQubit) -> float:
+    return float(channel_fidelity_stack(rho[None], [psi])[0])
+
+
+def quadrature_average(rho) -> float:
+    return float(quadrature_average_fidelity_stack(rho[None])[0])
 
 
 def closed_form_pointwise(j, b_m, t, theta):
@@ -39,7 +61,7 @@ class TestPureQubit:
         rng = np.random.default_rng(20)
         for _ in range(100):
             psi = random_pure_qubit(rng)
-            assert abs(np.linalg.norm(psi.ket()) - 1.0) < 1e-14
+            assert abs(np.linalg.norm(ket(psi)) - 1.0) < 1e-14
 
     def test_theta_range_enforced(self):
         with pytest.raises(ValueError):
@@ -50,6 +72,16 @@ class TestPureQubit:
     def test_phi_reduced(self):
         assert PureQubit(theta=1.0, phi=2 * np.pi).phi == 0.0
         assert 0.0 <= PureQubit(theta=1.0, phi=7.0).phi < 2 * np.pi
+
+    @pytest.mark.parametrize("phi", [-1e-17, -2e-16, -5e-324])
+    def test_tiny_negative_phi_maps_to_zero(self, phi):
+        # phi % 2pi rounds up to 2pi itself here, outside [0, 2pi)
+        assert PureQubit(theta=1.0, phi=phi).phi == 0.0
+
+    def test_in_range_phi_keeps_its_bits(self):
+        rng = np.random.default_rng(19)
+        for phi in [0.0, np.nextafter(2 * np.pi, 0.0), *rng.uniform(0.0, 2 * np.pi, 200)]:
+            assert PureQubit(theta=1.0, phi=float(phi)).phi == phi
 
 
 class TestBellProjectors:
@@ -108,7 +140,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(22)
         for _ in range(50):
             psi = random_pure_qubit(rng)
-            assert np.abs(apply_channel(SINGLET, psi) - psi.density()).max() < 1e-12
+            assert np.abs(apply_channel(SINGLET, psi) - density(psi)).max() < 1e-12
 
     def test_maximally_mixed_depolarizes(self):
         rng = np.random.default_rng(23)
@@ -180,7 +212,7 @@ class TestAverageFidelity:
         assert abs(rep.average - closed_form_average(1.0, 0.5, 1.0)) < 1e-14
         assert abs(rep.average - 0.67261) < 1e-5
         assert rep.average > 2 / 3
-        assert rep.method == "analytic"
+        assert (rep.samples, rep.stderr) == (None, None)
 
     def test_equivalent_boltzmann_form(self):
         # second closed form: (2 e^{bJ}/Z + 1)/3
@@ -213,7 +245,6 @@ class TestMonteCarlo:
         assert rep.average == 1.0
         assert rep.stderr == 0.0
         assert rep.samples == 100
-        assert rep.method == "monte-carlo"
 
     def test_maximally_mixed(self):
         rep = mc_average_fidelity(np.eye(4) / 4, 10_000, seed=0)
@@ -239,25 +270,40 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
             mc_average_fidelity(SINGLET, 10, seed=-1)
 
+    @pytest.mark.parametrize("n,seed,message", [
+        (2.5, 0, "sample count must be an integer, got 2.5"),
+        (10.0, 0, "sample count must be an integer, got 10.0"),
+        (True, 0, "sample count must be an integer, got True"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (10, True, "seed must be an integer, got True"),
+        (10, np.True_, "seed must be an integer, got "),  # repr differs across numpy
+    ])
+    def test_non_integer_arguments_rejected(self, n, seed, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            mc_average_fidelity(SINGLET, n, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        a = mc_average_fidelity(SINGLET, np.int64(10), seed=np.uint32(3))
+        assert a == mc_average_fidelity(SINGLET, 10, seed=3)
+
 
 class TestQuadrature:
     def test_matches_closed_form_on_grid(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
             p = ModelParams(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.1, 5))
-            got = quadrature_average_fidelity(gibbs_state(p).rho)
-            assert abs(got.average - average_fidelity(p).average) < 1e-10
-            assert got.method == "quadrature"
+            got = quadrature_average(gibbs_state(p).rho)
+            assert abs(got - average_fidelity(p).average) < 1e-10
 
     def test_maximally_mixed(self):
-        assert abs(quadrature_average_fidelity(np.eye(4) / 4).average - 0.5) < 1e-12
+        assert abs(quadrature_average(np.eye(4) / 4) - 0.5) < 1e-12
 
     def test_single_pauli_channel(self):
         # resource |Phi+><Phi+| has weights (0,0,1,0); sphere-average of
         # |<psi|sy|psi>|^2 is 1/3
         rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
         assert np.allclose(bell_weights(rho), (0, 0, 1, 0), atol=1e-12)
-        assert abs(quadrature_average_fidelity(rho).average - 1 / 3) < 1e-12
+        assert abs(quadrature_average(rho) - 1 / 3) < 1e-12
 
 
 class TestProtocolOracle:
@@ -265,7 +311,7 @@ class TestProtocolOracle:
         rng = np.random.default_rng(29)
         for _ in range(50):
             psi = random_pure_qubit(rng)
-            assert np.abs(protocol_oracle(SINGLET, psi) - psi.density()).max() < 1e-12
+            assert np.abs(protocol_oracle(SINGLET, psi) - density(psi)).max() < 1e-12
 
     def test_matches_channel_on_random_resources(self):
         rng = np.random.default_rng(30)
@@ -280,7 +326,7 @@ class TestProtocolOracle:
         psi = PureQubit(theta=np.pi / 3, phi=1.0)
         rho = gibbs_state(p).rho
         out = protocol_oracle(rho, psi)
-        k = psi.ket()
+        k = ket(psi)
         fid = float(np.real(k.conj() @ out @ k))
         assert abs(fid - output_fidelity(p, psi.theta)) < 1e-10
         assert abs(fid - channel_fidelity(rho, psi)) < 1e-10
@@ -288,8 +334,8 @@ class TestProtocolOracle:
     def test_outcome_probabilities(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            out, probs = protocol_oracle(random_density(rng), random_pure_qubit(rng),
-                                         return_outcomes=True)
-            assert abs(sum(probs) - 1.0) < 1e-12
-            assert all(q >= -1e-12 for q in probs)
-            assert abs(np.trace(out).real - 1.0) < 1e-12
+            outs, probs = protocol_oracle_stack(random_density(rng)[None],
+                                                [random_pure_qubit(rng)])
+            assert abs(probs[0].sum() - 1.0) < 1e-12
+            assert np.all(probs[0] >= -1e-12)
+            assert abs(np.trace(outs[0]).real - 1.0) < 1e-12

@@ -8,19 +8,17 @@ import pytest
 
 import xxteleport.entanglement as entanglement
 import xxteleport.model as model
+import xxteleport.phase as phase
 import xxteleport.teleport as teleport
 import xxteleport.verify as verify
 from xxteleport import cli
 from xxteleport.entanglement import concurrence, concurrence_stack
-from xxteleport.linalg import eigh, hermitian_function, validate_density
-from xxteleport.model import (ModelParams, ThermalState, gibbs_state, gibbs_state_oracle,
-                              gibbs_state_oracle_stack)
+from xxteleport.linalg import hermitian_function, validate_density
+from xxteleport.model import ModelParams, ThermalState, gibbs_state, gibbs_state_oracle_stack
 from xxteleport.teleport import (FidelityReport, apply_channel, apply_channel_stack,
-                                 bell_weights, bell_weights_stack, channel_fidelity,
-                                 channel_fidelity_stack, fidelity_from_weights,
-                                 mc_average_fidelity, protocol_oracle,
-                                 protocol_oracle_stack, quadrature_average_fidelity,
-                                 quadrature_average_fidelity_stack)
+                                 bell_weights, bell_weights_stack, channel_fidelity_stack,
+                                 fidelity_from_weights, mc_average_fidelity, protocol_oracle,
+                                 protocol_oracle_stack, quadrature_average_fidelity_stack)
 from xxteleport.verify import (DEFAULT_TOLERANCES, random_density, random_params,
                                random_pure_qubit, run_verification)
 
@@ -31,11 +29,10 @@ def _shift_gibbs(original):
     def shifted(p):
         # An imaginary, antisymmetric coherence keeps rho Hermitian with the
         # same trace and Bell weights, so only the Gibbs check can see it.
-        state = original(p)
-        rho = state.rho.copy()
+        rho = original(p).rho.copy()
         rho[1, 2] += 1j * SHIFT
         rho[2, 1] -= 1j * SHIFT
-        return ThermalState(rho=rho, z=state.z)
+        return ThermalState(rho=rho)
     return shifted
 
 
@@ -84,6 +81,21 @@ def test_rejects_negative_seed():
         run_verification(seed=-1, grid_size=1)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"grid_size": 2.5}, r"^grid size must be an integer, got 2\.5$"),
+    ({"grid_size": True}, r"^grid size must be an integer, got True$"),
+    ({"grid_size": 1, "seed": 0.5}, r"^seed must be an integer, got 0\.5$"),
+    ({"grid_size": 1, "seed": True}, r"^seed must be an integer, got True$"),
+])
+def test_rejects_non_integer_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_verification(**kwargs)
+
+
+def test_table1_tolerance_is_phase_constant():
+    assert DEFAULT_TOLERANCES["table1-reproduction"] is phase.TABLE1_TOLERANCE
+
+
 def reference_mc(rho, n, seed):
     """The Monte Carlo estimate over whole sample arrays, one point at a time:
     the reference that the block-wise kernel and the two-at-a-time verify
@@ -94,7 +106,7 @@ def reference_mc(rho, n, seed):
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     f = fidelity_from_weights(w, u, phi)
     err = float(f.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return FidelityReport(average=float(f.mean()), method="monte-carlo", samples=n, stderr=err)
+    return FidelityReport(average=float(f.mean()), samples=n, stderr=err)
 
 
 class TestMonteCarloMatchesReference:
@@ -184,15 +196,15 @@ def stack():
 
 
 class TestStackedMatchesScalar:
+    """Each stacked row equals the same call on a stack of one (or the scalar
+    entry point where one exists)."""
+
     TOL = 1e-15
 
     def test_gibbs_oracle(self, stack):
         params, _, _ = stack
-        rhos, zs = gibbs_state_oracle_stack(params)
-        for p, rho, z in zip(params, rhos, zs):
-            one = gibbs_state_oracle(p)
-            assert np.abs(rho - one.rho).max() <= self.TOL
-            assert abs(z - one.z) <= self.TOL * z
+        for p, rho in zip(params, gibbs_state_oracle_stack(params)):
+            assert np.abs(rho - gibbs_state_oracle_stack([p])[0]).max() <= self.TOL
 
     def test_concurrence(self, stack):
         _, rhos, _ = stack
@@ -213,30 +225,26 @@ class TestStackedMatchesScalar:
         fids = channel_fidelity_stack(rhos, psis)
         for rho, psi, out, fid in zip(rhos, psis, outs, fids):
             assert np.abs(out - apply_channel(rho, psi)).max() <= self.TOL
-            assert abs(fid - channel_fidelity(rho, psi)) <= self.TOL
+            assert abs(fid - channel_fidelity_stack(rho[None], [psi])[0]) <= self.TOL
 
     def test_protocol(self, stack):
         _, rhos, psis = stack
         outs, probs = protocol_oracle_stack(rhos, psis)
         for rho, psi, out, prob in zip(rhos, psis, outs, probs):
-            one_out, one_probs = protocol_oracle(rho, psi, return_outcomes=True)
-            assert np.abs(out - one_out).max() <= self.TOL
-            assert np.abs(prob - one_probs).max() <= self.TOL
+            _, one_probs = protocol_oracle_stack(rho[None], [psi])
+            assert np.abs(out - protocol_oracle(rho, psi)).max() <= self.TOL
+            assert np.abs(prob - one_probs[0]).max() <= self.TOL
 
     def test_quadrature(self, stack):
         _, rhos, _ = stack
         for rho, avg in zip(rhos, quadrature_average_fidelity_stack(rhos)):
-            assert abs(avg - quadrature_average_fidelity(rho).average) <= self.TOL
+            assert abs(avg - quadrature_average_fidelity_stack(rho[None])[0]) <= self.TOL
 
     def test_linalg(self, stack):
         _, rhos, _ = stack
-        assert np.array_equal(validate_density(rhos, dim=4), rhos)
-        ws, vs = eigh(rhos)
+        assert np.array_equal(validate_density(rhos), rhos)
         roots = hermitian_function(rhos, lambda x: np.sqrt(np.maximum(x, 0.0)))
-        for rho, w, v, root in zip(rhos, ws, vs, roots):
-            one_w, one_v = eigh(rho)
-            assert np.abs(w - one_w).max() <= self.TOL
-            assert np.abs(v - one_v).max() <= self.TOL
+        for rho, root in zip(rhos, roots):
             one_root = hermitian_function(rho, lambda x: np.sqrt(np.maximum(x, 0.0)))
             assert np.abs(root - one_root).max() <= self.TOL
 
@@ -256,8 +264,8 @@ def _negative_eigenvalue(rho):
 
 
 STACK_ORACLES = {
-    "validate_density": (lambda rhos, psis: validate_density(rhos, dim=4),
-                         lambda rho, psi: validate_density(rho, dim=4)),
+    "validate_density": (lambda rhos, psis: validate_density(rhos),
+                         lambda rho, psi: validate_density(rho)),
     "concurrence": (lambda rhos, psis: concurrence_stack(rhos),
                     lambda rho, psi: concurrence(rho)),
     "bell_weights": (lambda rhos, psis: bell_weights_stack(rhos),
@@ -265,7 +273,7 @@ STACK_ORACLES = {
     "apply_channel": (apply_channel_stack, apply_channel),
     "protocol_oracle": (protocol_oracle_stack, protocol_oracle),
     "quadrature": (lambda rhos, psis: quadrature_average_fidelity_stack(rhos),
-                   lambda rho, psi: quadrature_average_fidelity(rho)),
+                   lambda rho, psi: quadrature_average_fidelity_stack(rho[None])),
 }
 
 
@@ -289,7 +297,7 @@ def test_gibbs_oracle_bad_member_fails_like_scalar(stack):
     cold = ModelParams(j=1.0, b_m=0.0, t=1e-4)
     assert abs(cold.beta * cold.j) > model.MAX_BETA_ENERGY
     with pytest.raises(ValueError) as one:
-        gibbs_state_oracle(cold)
+        gibbs_state_oracle_stack([cold])
     with pytest.raises(ValueError) as many:
         gibbs_state_oracle_stack(params[:2] + [cold] + params[2:])
     assert str(many.value) == str(one.value)
