@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -140,13 +141,17 @@ def _cmd_fidelity(args) -> tuple[dict, dict, int]:
         psis = [PureQubit(theta=theta, phi=phi) for theta in _ORACLE_THETAS for phi in _ORACLE_PHIS]
         rhos = np.broadcast_to(gibbs_state(p).rho, (len(psis), 4, 4))
         result["oracle_max_deviation"] = float(np.abs(
-            protocol_oracle_stack(rhos, psis)[0] - apply_channel_stack(rhos, psis)).max())
+            protocol_oracle_stack(rhos, psis) - apply_channel_stack(rhos, psis)).max())
     meta = _metadata("fidelity", {"j": p.j, "b_m": p.b_m, "t": p.t}, seed=seed)
     return meta, _one_row(result), EXIT_OK
 
 
 def _cmd_critical(args) -> tuple[dict, dict, int]:
-    point = critical_temperature(args.eta, args.j)
+    if not math.isfinite(args.j):
+        raise ValueError(f"j must be finite, got {args.j}")
+    if args.j <= 0.0:
+        raise ValueError(f"j must be positive, got {args.j}")
+    point = critical_temperature(args.eta)
     result = {"eta": point.eta,
               "t_critical_over_j": point.t_critical_over_j,
               "t_critical": point.t_critical_over_j * args.j,

@@ -10,12 +10,13 @@ and the field-independent temperature above which it vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import SIGMA, hermitian_function, stack_of_one, validate_density
-from .model import ModelParams, hyperbolic_weights
+from .model import ModelParams, _reject_bool, hyperbolic_weights
 
 # sigma_y (x) sigma_y, the spin-flip conjugation.
 SPIN_FLIP = np.kron(SIGMA[2], SIGMA[2])
@@ -32,16 +33,15 @@ class AlwaysSeparableError(ValueError):
 
 @dataclass(frozen=True)
 class ConcurrenceBreakdown:
-    """Square-rooted spectrum of the spin-flipped product, plus the concurrence."""
+    """Concurrence of a two-qubit density matrix."""
 
-    lambdas: tuple[float, float, float, float]
     value: float
 
 
-def concurrence_stack(rhos) -> tuple[np.ndarray, np.ndarray]:
-    """Spin-flip concurrence of each two-qubit density matrix in a stack (N, 4, 4).
+def concurrence_stack(rhos) -> np.ndarray:
+    """Spin-flip concurrence, shape (N,), of each two-qubit density matrix in a
+    stack (N, 4, 4).
 
-    Returns the decreasing square-rooted spectra (N, 4) and the concurrences (N,).
     The spin-flipped product rho (sy(x)sy) rho* (sy(x)sy) shares its spectrum
     with the Hermitian-symmetrized matrix W W^dagger, W = sqrt(rho) (sy(x)sy)
     sqrt(rho)^T, so its square-rooted eigenvalues are the singular values of
@@ -56,14 +56,12 @@ def concurrence_stack(rhos) -> tuple[np.ndarray, np.ndarray]:
         raise FloatingPointError(
             f"spin-flip spectrum out of range: {w.min():.3e}")
     lam = np.sort(np.maximum(w, 0.0))[..., ::-1]
-    value = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
-    return lam, value
+    return np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
 
 
 def concurrence(rho) -> ConcurrenceBreakdown:
     """Concurrence of an arbitrary two-qubit density matrix (see concurrence_stack)."""
-    lam, value = concurrence_stack(stack_of_one(rho, "rho"))
-    return ConcurrenceBreakdown(lambdas=tuple(float(x) for x in lam[0]), value=float(value[0]))
+    return ConcurrenceBreakdown(value=float(concurrence_stack(stack_of_one(rho))[0]))
 
 
 def thermal_concurrence_array(j, b_m, t):
@@ -87,6 +85,9 @@ def zero_entanglement_temperature(j: float) -> float:
 
     Field independent: the concurrence is zero exactly when sinh(beta|J|) <= 1.
     """
+    _reject_bool(j, "j")
+    if not math.isfinite(j):
+        raise ValueError(f"j must be finite, got {j}")
     if j == 0.0:
         raise AlwaysSeparableError("thermal state is separable at every temperature for j = 0")
     return abs(j) / float(np.arcsinh(1.0))

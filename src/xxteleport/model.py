@@ -30,6 +30,12 @@ _BOOLS = (bool, np.bool_)
 MAX_BETA_ENERGY = 700.0
 
 
+def _reject_bool(value, name: str) -> None:
+    """Reject a bool passed as a number: math and numpy would take True as 1."""
+    if isinstance(value, _BOOLS):
+        raise ValueError(f"{name} must be a number, not a bool")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coupling j, field b_m and temperature t (all in the same energy units)."""

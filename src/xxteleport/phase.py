@@ -8,14 +8,13 @@ concurrence still present at that boundary is the residual concurrence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .entanglement import thermal_concurrence_array
-from .model import ModelParams, hyperbolic_weights
+from .model import ModelParams, _reject_bool, hyperbolic_weights
 from .teleport import average_fidelity_array
 
 ARCSINH_1 = float(np.arcsinh(1.0))  # ln(1 + sqrt 2)
@@ -70,8 +69,9 @@ def _boundary_gap(x: float, eta: float) -> float:
     return float(np.sinh(x) - np.cosh(eta * x))
 
 
-def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
-    """Boundary temperature (in units of j) below which the channel beats 2/3.
+def critical_temperature(eta: float) -> CriticalPoint:
+    """Boundary temperature T_c/J below which the channel beats 2/3; it depends
+    on eta = B_m/J alone.
 
     Bisection on x = J/T over [arcsinh(1), 50]; the bracket is valid for every
     eta in (0, 1) and the root is unique there.  The gap sinh(x) - cosh(eta x)
@@ -79,10 +79,7 @@ def critical_temperature(eta: float, j: float = 1.0) -> CriticalPoint:
     rounds to >= 0 there, so that sign is taken from the analysis, not from
     the rounded value.
     """
-    if not math.isfinite(j):
-        raise ValueError(f"j must be finite, got {j}")
-    if j <= 0.0:
-        raise ValueError(f"j must be positive, got {j}")
+    _reject_bool(eta, "eta")
     if eta >= 1.0:
         raise NoClassicalAdvantageError(
             f"no classical-beating temperature exists for B_m >= J (eta = {eta})")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import SIGMA, stack_of_one, validate_density
-from .model import ModelParams, hyperbolic_weights
+from .model import ModelParams, _reject_bool, hyperbolic_weights
 
 _GL_NODES = 16
 # Uniform phi angles whose discrete mean equals the continuous phi average for
@@ -43,6 +43,8 @@ class PureQubit:
     phi: float = 0.0
 
     def __post_init__(self):
+        _reject_bool(self.theta, "theta")
+        _reject_bool(self.phi, "phi")
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("Bloch angles must be finite")
         if not 0.0 <= self.theta <= np.pi:
@@ -127,7 +129,7 @@ def bell_weights_stack(rhos) -> np.ndarray:
 def bell_weights(rho) -> tuple[float, float, float, float]:
     """p_j = tr(E_j rho) for a 4x4 density matrix, roundoff clamped at zero,
     summing to one."""
-    return tuple(float(x) for x in bell_weights_stack(stack_of_one(rho, "rho"))[0])
+    return tuple(float(x) for x in bell_weights_stack(stack_of_one(rho))[0])
 
 
 def _pauli_mix(weights: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
@@ -146,7 +148,7 @@ def apply_channel_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
 
 def apply_channel(rho, psi: PureQubit) -> np.ndarray:
     """Teleportation output sum_j p_j s_j |psi><psi| s_j as a 2x2 density matrix."""
-    return apply_channel_stack(stack_of_one(rho, "rho"), [psi])[0]
+    return apply_channel_stack(stack_of_one(rho), [psi])[0]
 
 
 def channel_fidelity_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
@@ -192,6 +194,7 @@ def output_fidelity_array(j, b_m, t, theta):
 def output_fidelity(p: ModelParams, theta: float) -> float:
     """Fidelity of teleporting (theta, phi) through the XX thermal resource at
     one parameter point (see output_fidelity_array)."""
+    _reject_bool(theta, "theta")
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     return float(output_fidelity_array(p.j, p.b_m, p.t, theta))
@@ -296,25 +299,22 @@ def _trace_out_measured(m8: np.ndarray) -> np.ndarray:
     return m8.reshape(m8.shape[:-2] + (4, 2, 4, 2)).trace(axis1=-4, axis2=-2)
 
 
-def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> tuple[np.ndarray, np.ndarray]:
+def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
     """Literal three-qubit run of the protocol for each pair (rhos[n], psis[n]).
 
     Builds |psi><psi| (x) rho on input (x) A (x) B, projects (input, A) onto
     each Bell state, applies the outcome-conditioned Pauli correction on B,
-    and sums the weighted post-measurement states.  Returns the outputs
-    (N, 2, 2) and the four Bell outcome probabilities (N, 4).
+    and sums the weighted post-measurement states into the outputs (N, 2, 2).
     """
     rhos = validate_density(rhos)
     rho_in = _densities(_input_kets(psis))
     total = np.einsum("nab,ncd->nacbd", rho_in, rhos).reshape(-1, 8, 8)
     post = _MEASUREMENT @ total[:, None] @ _MEASUREMENT
-    probs = np.trace(post, axis1=-2, axis2=-1).real
     collapsed = _trace_out_measured(post)
-    out = (_CORRECTIONS @ collapsed @ _CORRECTIONS.conj().swapaxes(-1, -2)).sum(axis=1)
-    return out, probs
+    return (_CORRECTIONS @ collapsed @ _CORRECTIONS.conj().swapaxes(-1, -2)).sum(axis=1)
 
 
 def protocol_oracle(rho, psi: PureQubit) -> np.ndarray:
     """Literal three-qubit run of the protocol on input (x) A (x) B: the 2x2
     output density matrix (see protocol_oracle_stack)."""
-    return protocol_oracle_stack(stack_of_one(rho, "rho"), [psi])[0][0]
+    return protocol_oracle_stack(stack_of_one(rho), [psi])[0]

@@ -127,9 +127,9 @@ def run_verification(seed: int = 0, grid_size: int = 1000) -> list[CheckResult]:
         "gibbs-analytic-vs-matrix-exponential":
             _max_abs(thermal, gibbs_state_oracle_stack(params)),
         "concurrence-closed-form-vs-spin-flip":
-            _max_abs(thermal_concurrence_array(j, b_m, t), concurrence_stack(thermal)[1]),
+            _max_abs(thermal_concurrence_array(j, b_m, t), concurrence_stack(thermal)),
         "channel-vs-protocol-oracle":
-            _max_abs(protocol_oracle_stack(mixed, mixed_inputs)[0],
+            _max_abs(protocol_oracle_stack(mixed, mixed_inputs),
                      apply_channel_stack(mixed, mixed_inputs)),
         "pointwise-fidelity-vs-channel":
             _max_abs(output_fidelity_array(j, b_m, t, np.array([psi.theta for psi in inputs])),

@@ -41,14 +41,6 @@ class TestConcurrence:
             got = concurrence(np.outer(v, v.conj())).value
             assert abs(got - 2 * abs(v[0] * v[3] - v[1] * v[2])) < 1e-10
 
-    def test_lambdas_decreasing_and_consistent(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            b = concurrence(random_density(rng))
-            lam = b.lambdas
-            assert all(lam[i] >= lam[i + 1] for i in range(3))
-            assert b.value == max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
-
     def test_range_on_random_mixed_states(self):
         rng = np.random.default_rng(13)
         for _ in range(500):
@@ -135,3 +127,12 @@ class TestZeroEntanglementTemperature:
     def test_zero_coupling_rejected(self):
         with pytest.raises(AlwaysSeparableError):
             zero_entanglement_temperature(0.0)
+
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, j):
+        with pytest.raises(ValueError, match=rf"^j must be finite, got {j}$"):
+            zero_entanglement_temperature(j)
+
+    def test_bool_coupling_rejected(self):
+        with pytest.raises(ValueError, match=r"^j must be a number, not a bool$"):
+            zero_entanglement_temperature(True)

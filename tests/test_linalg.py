@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from xxteleport.linalg import SIGMA, hermitian_function, validate_density
+from xxteleport.linalg import SIGMA, hermitian_function, stack_of_one, validate_density
 from xxteleport.model import _hamiltonian
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+# sz and sx on qubit A: spectra {-1, -1, 1, 1}.
+SZ_A = np.kron(SIGMA[3], SIGMA[0])
+SX_A = np.kron(SIGMA[1], SIGMA[0])
 
 
 def random_hermitian(rng, dim=4, scale=1.0):
@@ -63,32 +66,44 @@ class TestEigh:
     orthonormal eigenvectors, strict input checks."""
 
     def test_sz(self):
-        assert np.array_equal(spectrum(SIGMA[3]), [-1.0, 1.0])
-        assert np.allclose(hermitian_function(SIGMA[3], lambda w: w), SIGMA[3], atol=1e-15)
+        assert np.array_equal(spectrum(SZ_A), [-1.0, -1.0, 1.0, 1.0])
+        assert np.allclose(hermitian_function(SZ_A, lambda w: w), SZ_A, atol=1e-15)
 
     def test_sx(self):
-        assert np.allclose(spectrum(SIGMA[1]), [-1, 1], atol=1e-15)
-        # the eigenvector of +1 is (1, 1)/sqrt2 up to phase: its projector is all 1/2
-        plus = hermitian_function(SIGMA[1], lambda w: (w > 0).astype(float))
-        assert np.allclose(plus, np.full((2, 2), 0.5), atol=1e-12)
+        assert np.allclose(spectrum(SX_A), [-1, -1, 1, 1], atol=1e-15)
+        # the +1 eigenvector of sx is (1, 1)/sqrt2 up to phase: its projector is all 1/2
+        plus = hermitian_function(SX_A, lambda w: (w > 0).astype(float))
+        assert np.allclose(plus, np.kron(np.full((2, 2), 0.5), SIGMA[0]), atol=1e-12)
 
     def test_xx_hamiltonian_spectrum(self):
         h = _hamiltonian(1.0, 0.5)
         assert np.allclose(spectrum(h), [-1.0, -0.5, 0.5, 1.0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_function(np.array([[0, 1], [0, 0]], dtype=complex), ones)
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"^m is not Hermitian within 1e-12$"):
+            hermitian_function(m, ones)
 
     def test_rejects_non_finite(self):
-        m = np.eye(2, dtype=complex)
+        m = np.eye(4, dtype=complex)
         m[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m contains non-finite entries$"):
             hermitian_function(m, ones)
 
     def test_rejects_unsupported_dimension(self):
-        with pytest.raises(ValueError, match=r"dimension must be one of \(2, 4\), got 8"):
-            hermitian_function(np.eye(8, dtype=complex), ones)
+        for rows, cols in [(2, 2), (8, 8), (4, 3)]:
+            m = np.eye(rows, cols, dtype=complex)
+            for check, name in [(lambda a: hermitian_function(a, ones), "m"),
+                                (validate_density, "rho")]:
+                for a in (m, np.stack([m] * 3)):
+                    with pytest.raises(ValueError, match=rf"^{name} must be 4x4, got {rows}x{cols}$"):
+                        check(a)
+
+    def test_rejects_other_ranks(self):
+        for shape in [(), (4,), (2, 3, 4, 4)]:
+            with pytest.raises(ValueError, match=r"must be a matrix or a stack of them"):
+                hermitian_function(np.zeros(shape), ones)
 
     def test_non_convergence_raises_runtime_error(self, monkeypatch):
         def failing(a):
@@ -96,7 +111,7 @@ class TestEigh:
 
         monkeypatch.setattr(np.linalg, "eigh", failing)
         with pytest.raises(RuntimeError, match="failed to converge"):
-            hermitian_function(SIGMA[3], ones)
+            hermitian_function(SZ_A, ones)
 
     def test_random_hermitian_properties(self):
         rng = np.random.default_rng(2)
@@ -118,8 +133,8 @@ class TestHermitianFunction:
         assert np.allclose(hermitian_function(np.zeros((4, 4)), np.exp), np.eye(4), atol=1e-15)
 
     def test_exp_negative_diag(self):
-        out = hermitian_function(np.diag([1.0, -1.0]), lambda x: np.exp(-x))
-        assert np.allclose(out, np.diag([np.exp(-1.0), np.e]), atol=1e-14)
+        out = hermitian_function(SZ_A, lambda x: np.exp(-x))
+        assert np.allclose(out, np.diag([np.exp(-1.0), np.exp(-1.0), np.e, np.e]), atol=1e-14)
 
     def test_exp_inverse_pair(self):
         rng = np.random.default_rng(4)
@@ -151,3 +166,9 @@ class TestDensityValidation:
     def test_rejects_one_qubit_state(self):
         with pytest.raises(ValueError, match=r"^rho must be 4x4, got 2x2$"):
             validate_density(np.eye(2) / 2)
+
+
+def test_stack_of_one_rejects_a_stack():
+    # a scalar entry point given a stack would otherwise answer for its first member
+    with pytest.raises(ValueError, match=r"^rho must be a single matrix, got shape \(2, 4, 4\)$"):
+        stack_of_one(np.stack([np.eye(4) / 4] * 2))

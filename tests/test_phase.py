@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xxteleport.phase as phase
+from xxteleport.cli import main
 from xxteleport.entanglement import thermal_concurrence
 from xxteleport.model import ModelParams
 from xxteleport.phase import (ARCSINH_1, ROOT_TOL, TABLE1_REFERENCE, TABLE1_TOLERANCE,
@@ -65,11 +66,6 @@ class TestCriticalTemperature:
             want = (math.cosh(eta * x) - 1) / (math.cosh(eta * x) + math.cosh(x))
             assert abs(point.residual_concurrence - want) < 1e-12
 
-    def test_scales_with_j(self):
-        unit = critical_temperature(0.5, j=1.0)
-        scaled = critical_temperature(0.5, j=2.5)
-        assert unit.t_critical_over_j == scaled.t_critical_over_j
-
     def test_no_solution_regime(self):
         with pytest.raises(NoClassicalAdvantageError):
             critical_temperature(1.0)
@@ -101,14 +97,22 @@ class TestCriticalTemperature:
         with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\), got nan$"):
             critical_temperature(float("nan"))
 
-    @pytest.mark.parametrize("j", [math.inf, math.nan])
-    def test_non_finite_coupling_rejected(self, j):
-        with pytest.raises(ValueError, match="j must be finite"):
-            critical_temperature(0.5, j=j)
+    def test_bool_eta_rejected(self):
+        # True >= 1.0 would otherwise report the no-solution regime
+        with pytest.raises(ValueError, match=r"^eta must be a number, not a bool$"):
+            critical_temperature(True)
 
-    def test_bad_coupling(self):
-        with pytest.raises(ValueError):
-            critical_temperature(0.5, j=0.0)
+    # T_c/J does not depend on j, so the critical command checks its --j
+    # itself, before eta, with exit code 2.
+    @pytest.mark.parametrize("j", [math.inf, math.nan])
+    def test_non_finite_coupling_rejected(self, j, capsys):
+        assert main(["critical", "--eta", "0.5", "--j", str(j)]) == 2
+        assert capsys.readouterr() == ("", f"error: j must be finite, got {j}\n")
+
+    def test_bad_coupling(self, capsys):
+        for eta, j in [("0.5", "0"), ("0.5", "-0.5"), ("1.2", "0")]:
+            assert main(["critical", "--eta", eta, "--j", j]) == 2
+            assert capsys.readouterr() == ("", f"error: j must be positive, got {float(j)}\n")
 
     def test_bracket_is_valid(self):
         rng = np.random.default_rng(41)

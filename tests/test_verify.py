@@ -208,11 +208,8 @@ class TestStackedMatchesScalar:
 
     def test_concurrence(self, stack):
         _, rhos, _ = stack
-        lams, values = concurrence_stack(rhos)
-        for rho, lam, value in zip(rhos, lams, values):
-            one = concurrence(rho)
-            assert np.abs(lam - one.lambdas).max() <= self.TOL
-            assert abs(value - one.value) <= self.TOL
+        for rho, value in zip(rhos, concurrence_stack(rhos)):
+            assert abs(value - concurrence(rho).value) <= self.TOL
 
     def test_bell_weights(self, stack):
         _, rhos, _ = stack
@@ -229,11 +226,8 @@ class TestStackedMatchesScalar:
 
     def test_protocol(self, stack):
         _, rhos, psis = stack
-        outs, probs = protocol_oracle_stack(rhos, psis)
-        for rho, psi, out, prob in zip(rhos, psis, outs, probs):
-            _, one_probs = protocol_oracle_stack(rho[None], [psi])
+        for rho, psi, out in zip(rhos, psis, protocol_oracle_stack(rhos, psis)):
             assert np.abs(out - protocol_oracle(rho, psi)).max() <= self.TOL
-            assert np.abs(prob - one_probs[0]).max() <= self.TOL
 
     def test_quadrature(self, stack):
         _, rhos, _ = stack
