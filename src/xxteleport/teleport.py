@@ -28,8 +28,6 @@ _GL_NODES = 16
 # Uniform phi angles whose discrete mean equals the continuous phi average for
 # trigonometric polynomials of degree <= 3 (the pointwise fidelity has degree 2).
 _PHI_MEAN_ANGLES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
-# Monte Carlo samples per kernel block.
-_MC_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -236,6 +234,8 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     """Monte Carlo average over Haar-uniform inputs (cos theta ~ U[-1,1], phi ~ U[0,2pi)).
 
     Deterministic for a fixed seed; reports the standard error of the mean.
+    phi is drawn only when the two |Phi> weights differ: otherwise its term
+    is exactly zero, so the estimate is bitwise the one that draws it.
     """
     _require_int(n, "sample count")
     if n < 1:
@@ -243,14 +243,9 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     w = np.asarray(bell_weights(rho))
     rng = _seeded_rng(seed)
     u = rng.uniform(-1.0, 1.0, n)
-    # The phi samples become the fidelity samples in place, one block at a
-    # time, so a call holds two full-size arrays.  The arithmetic is
-    # elementwise, so the values do not depend on the block size.
-    f = rng.uniform(0.0, 2.0 * np.pi, n)
-    for start in range(0, n, _MC_BLOCK):
-        blk = slice(start, start + _MC_BLOCK)
-        f[blk] = fidelity_from_weights(w, u[blk], f[blk])
-    del u
+    # Equal |Phi> weights (every XX thermal state) make the phi term exactly 0.
+    phi = rng.uniform(0.0, 2.0 * np.pi, n) if w[1] != w[2] else 0.0
+    f = fidelity_from_weights(w, u, phi)
     est = float(f.mean())
     err = float(f.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return FidelityReport(average=est, samples=n, stderr=err)

@@ -10,7 +10,6 @@ subcommand is a thin wrapper.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,9 @@ import numpy as np
 from .entanglement import concurrence_stack, thermal_concurrence_array
 from .model import ModelParams, gibbs_state, gibbs_state_oracle_stack
 from .phase import TABLE1_TOLERANCE, reproduce_table1, table1_deviations
-from .teleport import (FidelityReport, PureQubit, _require_int, _seeded_rng,
-                       apply_channel_stack, average_fidelity_array, channel_fidelity_stack,
-                       mc_average_fidelity, output_fidelity_array, protocol_oracle_stack,
+from .teleport import (PureQubit, _require_int, _seeded_rng, apply_channel_stack,
+                       average_fidelity_array, channel_fidelity_stack, mc_average_fidelity,
+                       output_fidelity_array, protocol_oracle_stack,
                        quadrature_average_fidelity_stack)
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -72,38 +71,6 @@ def _max_abs(a, b) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def _mc_reports(rhos: np.ndarray, seeds: list[int]) -> list[FidelityReport]:
-    """mc_average_fidelity of each resource with its seed, two at a time.
-
-    One helper thread runs the odd-indexed points while the calling thread
-    runs the even-indexed ones; numpy releases the GIL in the sampler and
-    the kernel.  The helper is joined before this returns or raises, and an
-    exception it raised is raised here.
-    """
-    reports: list[FidelityReport | None] = [None] * len(seeds)
-    failures: list[BaseException] = []
-
-    def run(first: int) -> None:
-        for i in range(first, len(seeds), 2):
-            reports[i] = mc_average_fidelity(rhos[i], _MC_SAMPLES, seed=seeds[i])
-
-    def helper() -> None:
-        try:
-            run(1)
-        except BaseException as exc:  # re-raised on the calling thread
-            failures.append(exc)
-
-    thread = threading.Thread(target=helper, name="xxteleport-mc")
-    thread.start()
-    try:
-        run(0)
-    finally:
-        thread.join()
-    if failures:
-        raise failures[0]
-    return reports
-
-
 def run_verification(seed: int = 0, grid_size: int = 1000) -> list[CheckResult]:
     """Run every consistency check; deterministic for a fixed seed."""
     _require_int(grid_size, "grid size")
@@ -138,7 +105,7 @@ def run_verification(seed: int = 0, grid_size: int = 1000) -> list[CheckResult]:
             _max_abs(closed_average, quadrature_average_fidelity_stack(thermal)),
     }
 
-    mc = _mc_reports(thermal, mc_seeds)
+    mc = [mc_average_fidelity(rho, _MC_SAMPLES, seed=s) for rho, s in zip(thermal, mc_seeds)]
     gap = np.abs(np.array([r.average for r in mc]) - closed_average[:len(mc)])
     stderr = np.array([r.stderr for r in mc])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,10 +1,11 @@
 """The array-form verify suite and the stacked oracles it runs on."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xxteleport.entanglement as entanglement
 import xxteleport.model as model
@@ -23,6 +24,7 @@ from xxteleport.verify import (DEFAULT_TOLERANCES, random_density, random_params
                                random_pure_qubit, run_verification)
 
 SHIFT = 1e-8
+SINGLET = teleport.BELL_PROJECTORS[0]
 
 
 def _shift_gibbs(original):
@@ -97,9 +99,8 @@ def test_table1_tolerance_is_phase_constant():
 
 
 def reference_mc(rho, n, seed):
-    """The Monte Carlo estimate over whole sample arrays, one point at a time:
-    the reference that the block-wise kernel and the two-at-a-time verify
-    run must equal bit for bit."""
+    """The Monte Carlo estimate with a phi drawn for every sample: the
+    reference that the kernel and the verify run must equal bit for bit."""
     w = np.asarray(bell_weights(rho))
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, n)
@@ -110,13 +111,12 @@ def reference_mc(rho, n, seed):
 
 
 class TestMonteCarloMatchesReference:
-    """Blocks and the helper thread change where the samples are computed,
-    never their values."""
+    """Skipping the phi draw for equal |Phi> weights never changes a sample."""
 
     @pytest.mark.parametrize("n", [1, 2, 100, 4000, 8191, 8192, 8193, 200_000, 1_000_003])
     def test_kernel_bitwise(self, n):
         rng = np.random.default_rng(n)
-        rhos = [gibbs_state(random_params(rng)).rho, random_density(rng)]
+        rhos = [gibbs_state(random_params(rng)).rho, random_density(rng), SINGLET, np.eye(4) / 4]
         for rho in rhos:
             for seed in (0, 7, 2**31 - 1):
                 got = mc_average_fidelity(rho, n, seed=seed)
@@ -140,48 +140,43 @@ class TestMonteCarloMatchesReference:
             return [r.max_deviation for r in run_verification(seed=seed, grid_size=grid_size)]
 
         got = {seed: deviations(seed) for seed in seeds}
-        monkeypatch.setattr(verify, "_mc_reports", lambda rhos, mc_seeds: [
-            reference_mc(rho, verify._MC_SAMPLES, s) for rho, s in zip(rhos, mc_seeds)])
+        monkeypatch.setattr(verify, "mc_average_fidelity",
+                            lambda rho, n, seed: reference_mc(rho, n, seed))
         assert got == {seed: deviations(seed) for seed in seeds}
 
+    def test_phi_drawn_only_for_unequal_phi_weights(self, monkeypatch):
+        phis = []
 
-class PointFailed(Exception):
-    pass
+        def recording(weights, cos_theta, phi):
+            phis.append(phi)
+            return fidelity_from_weights(weights, cos_theta, phi)
+
+        monkeypatch.setattr(teleport, "fidelity_from_weights", recording)
+        mc_average_fidelity(gibbs_state(ModelParams(1.0, 0.5, 1.0)).rho, 1000, seed=0)
+        run_verification(seed=0, grid_size=10)
+        assert [type(phi) for phi in phis] == [float] * (1 + verify._MC_POINTS)
+        assert phis == [0.0] * (1 + verify._MC_POINTS)
+        phis.clear()
+        mc_average_fidelity(random_density(np.random.default_rng(1)), 1000, seed=0)
+        assert [type(phi) for phi in phis] == [np.ndarray]
 
 
-class TestMonteCarloThreads:
-    """run_verification runs the Monte Carlo points on the calling thread and
-    on exactly one helper thread, which never outlives the call."""
+@st.composite
+def thermal_points(draw):
+    """Couplings that are zero, negative or huge, and a temperature from just
+    above the smallest one ModelParams accepts for them up to 1e9."""
+    energy = st.one_of(st.just(0.0), st.floats(-1e300, 1e300))
+    j, b_m = draw(energy), draw(energy)
+    t_min = max(1.0, 2.0 * max(abs(j), abs(b_m))) / np.finfo(float).max
+    return ModelParams(j, b_m, draw(st.floats(t_min * (1.0 + 1e-9), 1e9)))
 
-    def test_one_helper_joined(self, monkeypatch):
-        threads = []
 
-        def recording(rho, n, seed):
-            threads.append(threading.get_ident())
-            return mc_average_fidelity(rho, n, seed)
-
-        monkeypatch.setattr(verify, "mc_average_fidelity", recording)
-        before = threading.active_count()
-        run_verification(seed=4, grid_size=20)
-        assert threading.active_count() == before
-        assert len(threads) == verify._MC_POINTS
-        helpers = set(threads) - {threading.get_ident()}
-        assert len(helpers) == 1
-        assert threads.count(threading.get_ident()) == (verify._MC_POINTS + 1) // 2
-
-    @pytest.mark.parametrize("on_helper", [True, False], ids=["helper", "caller"])
-    def test_failure_reaches_caller(self, monkeypatch, on_helper):
-        def failing(rho, n, seed):
-            if (threading.current_thread() is threading.main_thread()) != on_helper:
-                raise PointFailed("point 2 failed" if on_helper else "point 1 failed")
-            return mc_average_fidelity(rho, n, seed)
-
-        monkeypatch.setattr(verify, "mc_average_fidelity", failing)
-        before = threading.active_count()
-        with pytest.raises(PointFailed, match="^point 2 failed$" if on_helper
-                           else "^point 1 failed$"):
-            run_verification(seed=4, grid_size=20)
-        assert threading.active_count() == before
+@settings(max_examples=300, deadline=None)
+@given(p=thermal_points())
+def test_thermal_phi_weights_equal(p):
+    """The shortcut in mc_average_fidelity rests on this equality."""
+    w = bell_weights(gibbs_state(p).rho)
+    assert w[1].hex() == w[2].hex()
 
 
 @pytest.fixture
