@@ -28,6 +28,9 @@ _GL_NODES = 16
 # Uniform phi angles whose discrete mean equals the continuous phi average for
 # trigonometric polynomials of degree <= 3 (the pointwise fidelity has degree 2).
 _PHI_MEAN_ANGLES = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
+# Monte Carlo samples per kernel call: 64 KiB per temporary, which the
+# allocator reuses instead of mapping fresh pages for every full-size array.
+_MC_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -158,17 +161,20 @@ def fidelity_from_weights(weights, cos_theta, phi):
     """Pointwise fidelity sum_j p_j <s_j>^2 from the Bloch components of the input.
 
     Vectorized over cos_theta and phi; equals channel_fidelity_stack on the same
-    input (see tests), but costs no matrix algebra per point.
+    input (see tests), but costs no matrix algebra per point.  The result is a
+    new array: cos_theta and phi are never written.
     """
     w = np.asarray(weights, dtype=float)
-    u2 = np.square(cos_theta)
+    u2 = np.square(cos_theta, dtype=float)
     # cos^2 phi = (1 + cos 2phi)/2 and sin^2 phi = (1 - cos 2phi)/2: one trig
-    # call per sample.  The in-place steps keep the temporaries few.
-    f = np.cos(np.multiply(2.0, phi))
-    f *= 0.5 * (w[1] - w[2])
-    f += 0.5 * (w[1] + w[2])
-    f *= 1.0 - u2
-    f += w[3] * u2
+    # call per sample.  The in-place steps make two temporaries, u2 and f.
+    c = np.cos(np.multiply(2.0, phi))
+    c *= 0.5 * (w[1] - w[2])
+    c += 0.5 * (w[1] + w[2])
+    f = np.subtract(1.0, u2)
+    f *= c
+    u2 *= w[3]
+    f += u2
     f += w[0]
     return f
 
@@ -235,19 +241,29 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
 
     Deterministic for a fixed seed; reports the standard error of the mean.
     phi is drawn only when the two |Phi> weights differ: otherwise its term
-    is exactly zero, so the estimate is bitwise the one that draws it.
+    is exactly zero, so the estimate is bitwise the one that draws it.  The
+    fidelities overwrite the drawn cos theta block by block, and the mean and
+    standard error come from that one buffer with the operations of numpy's
+    mean and std(ddof=1), so the estimate is bitwise that of the whole array.
     """
     _require_int(n, "sample count")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     w = np.asarray(bell_weights(rho))
     rng = _seeded_rng(seed)
-    u = rng.uniform(-1.0, 1.0, n)
+    f = rng.uniform(-1.0, 1.0, n)
     # Equal |Phi> weights (every XX thermal state) make the phi term exactly 0.
     phi = rng.uniform(0.0, 2.0 * np.pi, n) if w[1] != w[2] else 0.0
-    f = fidelity_from_weights(w, u, phi)
-    est = float(f.mean())
-    err = float(f.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    for i in range(0, n, _MC_BLOCK):
+        s = slice(i, i + _MC_BLOCK)
+        f[s] = fidelity_from_weights(w, f[s], phi if np.ndim(phi) == 0 else phi[s])
+    # numpy's mean and std(ddof=1), step for step, but in place: no f - mean copy.
+    est = float(np.add.reduce(f) / n)
+    err = 0.0
+    if n > 1:
+        f -= np.true_divide(np.add.reduce(f, keepdims=True), n)
+        np.multiply(f, f, out=f)
+        err = float(np.sqrt(np.add.reduce(f) / (n - 1)) / np.sqrt(n))
     return FidelityReport(average=est, samples=n, stderr=err)
 
 

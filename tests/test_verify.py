@@ -1,6 +1,7 @@
 """The array-form verify suite and the stacked oracles it runs on."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,10 @@ def reference_mc(rho, n, seed):
 class TestMonteCarloMatchesReference:
     """Skipping the phi draw for equal |Phi> weights never changes a sample."""
 
-    @pytest.mark.parametrize("n", [1, 2, 100, 4000, 8191, 8192, 8193, 200_000, 1_000_003])
+    # The block edges follow _MC_BLOCK; dict.fromkeys drops those already listed.
+    @pytest.mark.parametrize("n", list(dict.fromkeys(
+        [1, 2, 100, 4000, 8191, 8192, 8193, 200_000, 1_000_003, teleport._MC_BLOCK - 1,
+         teleport._MC_BLOCK + 1, 2 * teleport._MC_BLOCK, 2 * teleport._MC_BLOCK + 1])))
     def test_kernel_bitwise(self, n):
         rng = np.random.default_rng(n)
         rhos = [gibbs_state(random_params(rng)).rho, random_density(rng), SINGLET, np.eye(4) / 4]
@@ -154,11 +158,29 @@ class TestMonteCarloMatchesReference:
         monkeypatch.setattr(teleport, "fidelity_from_weights", recording)
         mc_average_fidelity(gibbs_state(ModelParams(1.0, 0.5, 1.0)).rho, 1000, seed=0)
         run_verification(seed=0, grid_size=10)
-        assert [type(phi) for phi in phis] == [float] * (1 + verify._MC_POINTS)
-        assert phis == [0.0] * (1 + verify._MC_POINTS)
+        calls = 1 + verify._MC_POINTS * -(-verify._MC_SAMPLES // teleport._MC_BLOCK)
+        assert [type(phi) for phi in phis] == [float] * calls
+        assert phis == [0.0] * calls
         phis.clear()
         mc_average_fidelity(random_density(np.random.default_rng(1)), 1000, seed=0)
         assert [type(phi) for phi in phis] == [np.ndarray]
+
+    @pytest.mark.parametrize("resource,bound", [
+        (lambda: gibbs_state(ModelParams(1.0, 0.5, 1.0)).rho, 1.25),
+        (lambda: random_density(np.random.default_rng(1)), 2.25),
+    ], ids=["thermal", "random"])
+    def test_one_full_size_buffer(self, resource, bound):
+        """A call holds the drawn samples (and phi only where it is drawn),
+        plus block-sized temporaries."""
+        n = 200_000
+        rho = resource()
+        tracemalloc.start()
+        try:
+            mc_average_fidelity(rho, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n
 
 
 @st.composite
@@ -177,6 +199,18 @@ def test_thermal_phi_weights_equal(p):
     """The shortcut in mc_average_fidelity rests on this equality."""
     w = bell_weights(gibbs_state(p).rho)
     assert w[1].hex() == w[2].hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3 * teleport._MC_BLOCK), seed=st.integers(0, 2**32 - 1),
+       rho=st.one_of(thermal_points().map(lambda p: gibbs_state(p).rho),
+                     st.integers(0, 2**32 - 1).map(
+                         lambda s: random_density(np.random.default_rng(s)))))
+def test_mc_blocks_match_reference(n, seed, rho):
+    """Any sample count, full and partial blocks alike, gives the reference's bits."""
+    got = mc_average_fidelity(rho, n, seed=seed)
+    want = reference_mc(rho, n, seed)
+    assert (got.average.hex(), got.stderr.hex()) == (want.average.hex(), want.stderr.hex())
 
 
 @pytest.fixture
