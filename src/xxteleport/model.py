@@ -96,35 +96,37 @@ def hyperbolic_weights(j, b_m, t):
     return ch_b, 0.5 * (up + down), 0.5 * (up - down), np.exp(-m)
 
 
-def _populations(p: ModelParams) -> np.ndarray:
-    """Boltzmann weights of |00>, |Psi+>, |Psi->, |11>, max-shifted so large
-    beta cannot overflow."""
-    energies = np.array([p.b_m, p.j, -p.j, -p.b_m])
-    x = -p.beta * energies
-    w = np.exp(x - x.max())
-    return w / w.sum()
+def gibbs_state_array(j, b_m, t) -> np.ndarray:
+    """Thermal states (..., 4, 4) of floats or same-shape arrays of valid ModelParams
+    fields (not checked here), from max-shifted closed-form populations."""
+    x = -(1.0 / t) * np.array([b_m, j, -j, -b_m])  # levels |00>, |Psi+>, |Psi->, |11> first
+    w = np.exp(x - x.max(axis=0))
+    w /= ((w[0] + w[1]) + w[2]) + w[3]
+    rho = np.zeros(w.shape[1:] + (4, 4), dtype=complex)
+    rho[..., 0, 0], rho[..., 3, 3] = w[0], w[3]
+    rho[..., 1, 1] = rho[..., 2, 2] = 0.5 * (w[1] + w[2])
+    rho[..., 1, 2] = rho[..., 2, 1] = 0.5 * (w[1] - w[2])
+    rho.flags.writeable = False
+    return rho
 
 
 def gibbs_state(p: ModelParams) -> ThermalState:
-    """Thermal state from the closed-form populations (no matrix exponential)."""
-    pop = _populations(p)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = pop[0]
-    rho[3, 3] = pop[3]
-    rho[1, 1] = rho[2, 2] = 0.5 * (pop[1] + pop[2])
-    rho[1, 2] = rho[2, 1] = 0.5 * (pop[1] - pop[2])
-    rho.flags.writeable = False
-    return ThermalState(rho=rho)
+    """Thermal state of one parameter point (see gibbs_state_array)."""
+    return ThermalState(rho=gibbs_state_array(p.j, p.b_m, p.t))
 
 
-def gibbs_state_oracle_stack(params: Sequence[ModelParams]) -> np.ndarray:
-    """Thermal states (N, 4, 4) of N parameter points, by numerically
-    exponentiating each H; cross-validation path only."""
-    j, b_m, beta = np.array([(p.j, p.b_m, p.beta) for p in params], dtype=float).reshape(-1, 3).T
+def gibbs_state_oracle_array(j, b_m, t) -> np.ndarray:
+    """Thermal states (N, 4, 4) of arrays (N,) of ModelParams fields by exponentiating H."""
+    beta = 1.0 / t
     if np.any(np.abs(beta * j) > MAX_BETA_ENERGY) or np.any(np.abs(beta * b_m) > MAX_BETA_ENERGY):
         raise ValueError("beta*energy too large for the matrix-exponential path")
     em = hermitian_function(_hamiltonian(j, b_m), lambda x: np.exp(-beta[:, None] * x))
-    z = np.trace(em, axis1=1, axis2=2).real
-    rho = em / z[:, None, None]
+    rho = em / np.trace(em, axis1=1, axis2=2).real[:, None, None]
     rho.flags.writeable = False
     return rho
+
+
+def gibbs_state_oracle_stack(params: Sequence[ModelParams]) -> np.ndarray:
+    """gibbs_state_oracle_array of N parameter points."""
+    points = np.array([(p.j, p.b_m, p.t) for p in params], dtype=float).reshape(-1, 3)
+    return gibbs_state_oracle_array(*points.T)

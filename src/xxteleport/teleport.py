@@ -242,9 +242,10 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     Deterministic for a fixed seed; reports the standard error of the mean.
     phi is drawn only when the two |Phi> weights differ: otherwise its term
     is exactly zero, so the estimate is bitwise the one that draws it.  The
-    fidelities overwrite the drawn cos theta block by block, and the mean and
-    standard error come from that one buffer with the operations of numpy's
-    mean and std(ddof=1), so the estimate is bitwise that of the whole array.
+    fidelities overwrite the drawn cos theta block by block (a drawn phi is
+    drawn per block, continuing the stream), and the mean and standard error
+    come from that one buffer with the operations of numpy's mean and
+    std(ddof=1), so the estimate is bitwise that of the whole array.
     """
     _require_int(n, "sample count")
     if n < 1:
@@ -252,11 +253,11 @@ def mc_average_fidelity(rho, n: int, seed: int) -> FidelityReport:
     w = np.asarray(bell_weights(rho))
     rng = _seeded_rng(seed)
     f = rng.uniform(-1.0, 1.0, n)
-    # Equal |Phi> weights (every XX thermal state) make the phi term exactly 0.
-    phi = rng.uniform(0.0, 2.0 * np.pi, n) if w[1] != w[2] else 0.0
     for i in range(0, n, _MC_BLOCK):
-        s = slice(i, i + _MC_BLOCK)
-        f[s] = fidelity_from_weights(w, f[s], phi if np.ndim(phi) == 0 else phi[s])
+        u = f[i:i + _MC_BLOCK]
+        # Equal |Phi> weights (every XX thermal state) make the phi term exactly 0.
+        phi = rng.uniform(0.0, 2.0 * np.pi, u.size) if w[1] != w[2] else 0.0
+        u[:] = fidelity_from_weights(w, u, phi)
     # numpy's mean and std(ddof=1), step for step, but in place: no f - mean copy.
     est = float(np.add.reduce(f) / n)
     err = 0.0
@@ -305,11 +306,6 @@ for _m in (_CORRECTIONS, _MEASUREMENT):
     _m.flags.writeable = False
 
 
-def _trace_out_measured(m8: np.ndarray) -> np.ndarray:
-    """Partial trace over the first two qubits of 8x8 operators (..., 8, 8)."""
-    return m8.reshape(m8.shape[:-2] + (4, 2, 4, 2)).trace(axis1=-4, axis2=-2)
-
-
 def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
     """Literal three-qubit run of the protocol for each pair (rhos[n], psis[n]).
 
@@ -319,9 +315,14 @@ def protocol_oracle_stack(rhos, psis: Sequence[PureQubit]) -> np.ndarray:
     """
     rhos = validate_density(rhos)
     rho_in = _densities(_input_kets(psis))
-    total = np.einsum("nab,ncd->nacbd", rho_in, rhos).reshape(-1, 8, 8)
-    post = _MEASUREMENT @ total[:, None] @ _MEASUREMENT
-    collapsed = _trace_out_measured(post)
+    # All M_k T_n in one (32, 8) @ (8, 8N) product over the T_n side by side;
+    # its rows (k, i) and columns (n, j) read as rows (i, n) and columns j per
+    # k, so (M_k T_n) M_k is one product per k.  A row of M_k has at most two
+    # nonzero entries, +-0.5, so every entry rounds once, as pair by pair.
+    total = np.einsum("nab,ncd->acnbd", rho_in, rhos).reshape(8, -1)
+    post = (_MEASUREMENT.reshape(32, 8) @ total).reshape(4, -1, 8) @ _MEASUREMENT
+    # Trace out (input, A): post[k] is (i, n, j) with i = 2 * (input, A) + B.
+    collapsed = post.reshape(4, 4, 2, -1, 4, 2).trace(axis1=1, axis2=4).transpose(2, 0, 1, 3)
     return (_CORRECTIONS @ collapsed @ _CORRECTIONS.conj().swapaxes(-1, -2)).sum(axis=1)
 
 

@@ -16,8 +16,9 @@ import xxteleport.verify as verify
 from xxteleport import cli
 from xxteleport.entanglement import concurrence, concurrence_stack
 from xxteleport.linalg import hermitian_function, validate_density
-from xxteleport.model import ModelParams, ThermalState, gibbs_state, gibbs_state_oracle_stack
-from xxteleport.teleport import (FidelityReport, apply_channel, apply_channel_stack,
+from xxteleport.model import (ModelParams, gibbs_state, gibbs_state_array,
+                              gibbs_state_oracle_stack)
+from xxteleport.teleport import (FidelityReport, PureQubit, apply_channel, apply_channel_stack,
                                  bell_weights, bell_weights_stack, channel_fidelity_stack,
                                  fidelity_from_weights, mc_average_fidelity, protocol_oracle,
                                  protocol_oracle_stack, quadrature_average_fidelity_stack)
@@ -29,13 +30,13 @@ SINGLET = teleport.BELL_PROJECTORS[0]
 
 
 def _shift_gibbs(original):
-    def shifted(p):
+    def shifted(j, b_m, t):
         # An imaginary, antisymmetric coherence keeps rho Hermitian with the
         # same trace and Bell weights, so only the Gibbs check can see it.
-        rho = original(p).rho.copy()
-        rho[1, 2] += 1j * SHIFT
-        rho[2, 1] -= 1j * SHIFT
-        return ThermalState(rho=rho)
+        rho = original(j, b_m, t).copy()
+        rho[..., 1, 2] += 1j * SHIFT
+        rho[..., 2, 1] -= 1j * SHIFT
+        return rho
     return shifted
 
 
@@ -44,7 +45,7 @@ def _shift_gibbs(original):
 # channel as its oracle, by design.  The average is shifted downwards, so it
 # stays inside [0, 1].
 MUTATIONS = [
-    ("gibbs-analytic-vs-matrix-exponential", "gibbs_state", (model, verify), _shift_gibbs),
+    ("gibbs-analytic-vs-matrix-exponential", "gibbs_state_array", (model, verify), _shift_gibbs),
     ("concurrence-closed-form-vs-spin-flip", "thermal_concurrence_array",
      (entanglement, verify), lambda f: lambda j, b_m, t: f(j, b_m, t) + SHIFT),
     ("channel-vs-protocol-oracle", "apply_channel_stack", (verify,),
@@ -65,6 +66,89 @@ def test_oracle_independent_of_closed_form(monkeypatch, check, attr, modules, sh
     assert list(results) == list(DEFAULT_TOLERANCES)
     assert [name for name, r in results.items() if not r.passed] == [check]
     assert results[check].max_deviation == pytest.approx(SHIFT, rel=1e-6)
+
+
+# The one-point helpers and run_verification's per-point draw loop as they
+# were before the draws were batched: the references for the stream order.
+def reference_params(rng):
+    return rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 5.0)
+
+
+def reference_density(rng):
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = a @ a.conj().T
+    return m / np.trace(m).real
+
+
+def reference_pure_qubit(rng):
+    return PureQubit(theta=float(np.arccos(rng.uniform(-1.0, 1.0))),
+                     phi=float(rng.uniform(0.0, 2.0 * np.pi)))
+
+
+def reference_draws(rng, grid_size):
+    params = [reference_params(rng) for _ in range(grid_size)]
+    pairs = [(reference_density(rng), reference_pure_qubit(rng)) for _ in range(grid_size)]
+    inputs = [reference_pure_qubit(rng) for _ in params]
+    mc_seeds = [int(rng.integers(2**31)) for _ in params[:verify._MC_POINTS]]
+    return (np.array(params), np.stack([rho for rho, _ in pairs]), [psi for _, psi in pairs],
+            inputs, mc_seeds)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _qubit_bits(psis):
+    return [(psi.theta.hex(), psi.phi.hex()) for psi in psis]
+
+
+@pytest.mark.parametrize("grid_size,seeds", [(1, range(10)), (2, range(10)), (10, range(10)),
+                                             (80, range(10)), (150, range(10)), (50, [122])])
+def test_batched_draws_match_point_by_point(grid_size, seeds):
+    """The array draws take the stream exactly as the per-point loop did."""
+    for seed in seeds:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        grid, mixed, mixed_inputs, inputs, mc_seeds = verify._draw(rng, grid_size)
+        want = reference_draws(ref_rng, grid_size)
+        assert _bits(grid) == _bits(want[0])
+        assert _bits(mixed) == _bits(want[1])
+        assert _qubit_bits(mixed_inputs) == _qubit_bits(want[2])
+        assert _qubit_bits(inputs) == _qubit_bits(want[3])
+        assert mc_seeds == want[4]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_point_helpers_match_point_by_point(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        p = random_params(rng)
+        assert [x.hex() for x in (p.j, p.b_m, p.t)] == \
+            [x.hex() for x in reference_params(ref_rng)]
+        assert _bits(random_density(rng)) == _bits(reference_density(ref_rng))
+        assert _qubit_bits([random_pure_qubit(rng)]) == \
+            _qubit_bits([reference_pure_qubit(ref_rng)])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 80])
+def test_protocol_matches_outcome_loop(n):
+    """The batched measurement gives, bit for bit, sum_k C_k tr_12(M_k T M_k) C_k^dagger
+    computed outcome by outcome for each T = |psi><psi| (x) rho."""
+    rng = np.random.default_rng(n)
+    rhos = np.stack([random_density(rng) for _ in range(n)])
+    psis = [random_pure_qubit(rng) for _ in range(n)]
+    m, c = teleport._MEASUREMENT, teleport._CORRECTIONS
+    for rho, psi, out in zip(rhos, psis, protocol_oracle_stack(rhos, psis)):
+        half = 0.5 * psi.theta
+        ket = np.array([np.cos(half), np.exp(1j * psi.phi) * np.sin(half)])
+        # einsum, as in the oracle: np.kron multiplies complex numbers with a
+        # different kernel, which rounds differently.
+        t = np.einsum("ab,cd->acbd", np.outer(ket, ket.conj()), rho).reshape(8, 8)
+        terms = [c[k] @ (m[k] @ t @ m[k]).reshape(4, 2, 4, 2).trace(axis1=0, axis2=2)
+                 @ c[k].conj().T for k in range(4)]
+        assert _bits(out) == _bits(((terms[0] + terms[1]) + terms[2]) + terms[3])
 
 
 def test_same_points_per_seed():
@@ -167,11 +251,11 @@ class TestMonteCarloMatchesReference:
 
     @pytest.mark.parametrize("resource,bound", [
         (lambda: gibbs_state(ModelParams(1.0, 0.5, 1.0)).rho, 1.25),
-        (lambda: random_density(np.random.default_rng(1)), 2.25),
+        (lambda: random_density(np.random.default_rng(1)), 1.25),
     ], ids=["thermal", "random"])
     def test_one_full_size_buffer(self, resource, bound):
-        """A call holds the drawn samples (and phi only where it is drawn),
-        plus block-sized temporaries."""
+        """A call holds the drawn samples, plus block-sized temporaries (and
+        phi, drawn block by block where it is drawn at all)."""
         n = 200_000
         rho = resource()
         tracemalloc.start()
@@ -199,6 +283,29 @@ def test_thermal_phi_weights_equal(p):
     """The shortcut in mc_average_fidelity rests on this equality."""
     w = bell_weights(gibbs_state(p).rho)
     assert w[1].hex() == w[2].hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(thermal_points(), min_size=1, max_size=5))
+def test_gibbs_builder_rows_match_one_point(points):
+    """A stack from the broadcast builder holds the bits of each one-point call,
+    and those of the one-point closed form it replaced."""
+    def reference(p):
+        energies = np.array([p.b_m, p.j, -p.j, -p.b_m])
+        x = -p.beta * energies
+        w = np.exp(x - x.max())
+        pop = w / w.sum()
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = pop[0]
+        rho[3, 3] = pop[3]
+        rho[1, 1] = rho[2, 2] = 0.5 * (pop[1] + pop[2])
+        rho[1, 2] = rho[2, 1] = 0.5 * (pop[1] - pop[2])
+        return rho
+
+    j, b_m, t = np.array([(p.j, p.b_m, p.t) for p in points]).T
+    rows = [_bits(rho) for rho in gibbs_state_array(j, b_m, t)]
+    assert rows == [_bits(gibbs_state(p).rho) for p in points]
+    assert rows == [_bits(reference(p)) for p in points]
 
 
 @settings(max_examples=100, deadline=None)
