@@ -48,16 +48,20 @@ def _fmt(value) -> str:
 def _cells(column, fmt: str) -> list[str]:
     """Each value as `json.dumps` or `_fmt` prints it; an ndarray is formatted by dtype."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":  # format each distinct bit pattern once: -0.0 and 0.0 stay apart
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        values = keys.view(np.float64)
+        if fmt != "json":
+            cells = [format(v, ".12g") for v in values.tolist()]
+        elif np.isfinite(values).all():
+            cells = list(map(float.__repr__, values.tolist()))
+        else:
+            cells = list(map(json.dumps, values.tolist()))  # Infinity and NaN keep json's spelling
+        return np.array(cells, dtype=object)[inverse].tolist()
     values = column.tolist() if kind else column
     if kind == "b":
         return ["true" if v else "false" for v in values]
-    if fmt == "json":
-        if kind == "f" and np.isfinite(column).all():
-            return list(map(float.__repr__, values))
-        return list(map(json.dumps, values))  # Infinity and NaN keep json's spelling
-    if kind == "f":
-        return [format(v, ".12g") for v in values]
-    return list(map(_fmt, values))
+    return list(map(json.dumps if fmt == "json" else _fmt, values))
 
 
 def _render(meta: dict, columns: dict, record: bool, fmt: str) -> str:

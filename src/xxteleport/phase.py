@@ -127,15 +127,22 @@ def sweep(j: float, eta_grid: Sequence[float], t_grid: Sequence[float]) -> dict[
     beating), not an error.  An invalid point raises the ValueError that
     ModelParams gives for the first such point in eta-major order.
     """
-    b_m = np.asarray(eta_grid, dtype=float) * j
-    t = np.asarray(t_grid, dtype=float)
-    if b_m.size and t.size:
-        # A rule that fails at (b_m[i], t[k]) for i > 0 but not at (b_m[0], t[k])
-        # involves b_m, and fails at the coldest t first: |b_m|/t only grows as t falls.
-        for t_k in t:
-            ModelParams(j=j, b_m=float(b_m[0]), t=float(t_k))
-        for b in b_m[1:]:
-            ModelParams(j=j, b_m=float(b), t=float(t.min()))
+    with np.errstate(all="ignore"):
+        b_m = np.asarray(eta_grid, dtype=float) * j
+        t = np.asarray(t_grid, dtype=float)
+        if b_m.size and t.size:
+            # ModelParams' rules over row 0, then over each later b_m at the coldest t:
+            # a rule that fails at (b_m[i], t[k]) but not at (b_m[0], t[k]) involves
+            # b_m, and fails at the coldest t first, since |b_m|/t only grows as t falls.
+            ModelParams(j=j, b_m=float(b_m[0]), t=float(t[0]))  # a bool j, a bad first point
+            bs = np.concatenate([np.full(t.size, b_m[0]), b_m[1:]])
+            ts = np.concatenate([t, np.full(b_m.size - 1, t.min())])
+            # A non-finite b_m or beta makes the last product non-finite too.
+            energy = 2.0 * ((1.0 / ts) * np.maximum(abs(j), abs(bs)))
+            bad = ~(np.isfinite(ts) & (ts > 0.0) & np.isfinite(energy))
+            if bad.any():
+                k = int(bad.argmax())
+                ModelParams(j=j, b_m=float(bs[k]), t=float(ts[k]))
     b_m, t = (a.ravel() for a in np.meshgrid(b_m, t, indexing="ij"))
     return {"j": np.full(b_m.shape, j, dtype=float), "b_m": b_m, "t": t,
             "concurrence": thermal_concurrence_array(j, b_m, t),

@@ -5,11 +5,13 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xxteleport import cli
 from xxteleport.cli import _build_parser, main
 from xxteleport.model import ModelParams
 from xxteleport.phase import critical_temperature, sweep
@@ -343,6 +345,70 @@ class TestRendering:
         assert lines[0].startswith("# xxteleport ")
         assert lines[1].split() == list(want)
         assert len(lines) == 2 + n
+
+
+def reference_cells(column, fmt):
+    """`cli._cells` as it was when every float was formatted on its own: the reference."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    values = column.tolist() if kind else column
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    if fmt == "json":
+        if kind == "f" and np.isfinite(column).all():
+            return list(map(float.__repr__, values))
+        return list(map(json.dumps, values))
+    if kind == "f":
+        return [format(v, ".12g") for v in values]
+    return list(map(cli._fmt, values))
+
+
+def render_outcome(columns, record, fmt):
+    """The rendered text, or the type of the error rendering raised."""
+    meta = cli._metadata("sweep", {"j": 1.0, "steps": [2, 3]})
+    try:
+        return cli._render(meta, columns, record, fmt)
+    except Exception as exc:  # a plain table of no rows has no column widths
+        return type(exc)
+
+
+# Both zeros, both infinities, NaN, the smallest subnormal, a huge value and
+# integral floats (1.0 prints 1 in plain and csv, 1.0 in json).
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 1.0, -2.0, 0.1]
+
+
+@st.composite
+def render_columns(draw, n):
+    """Float ndarray columns that repeat a few values, and bool and list columns."""
+    columns = {}
+    for i in range(draw(st.integers(1, 5))):
+        pool = (draw(st.lists(st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=5))
+                + draw(st.lists(st.floats(), max_size=2)))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(["float", "float", "bool", "list"]))
+        if kind == "float":
+            columns[f"c{i}"] = np.array(values, dtype=float)
+        elif kind == "bool":
+            columns[f"c{i}"] = np.array(values, dtype=float) > 0.0
+        else:
+            columns[f"c{i}"] = values
+    return columns
+
+
+class TestRenderCells:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), record=st.booleans(), fmt=st.sampled_from(["plain", "csv", "json"]))
+    def test_render_matches_per_cell_reference(self, data, record, fmt):
+        n = 1 if record else data.draw(st.integers(0, 40))
+        columns = data.draw(render_columns(n))
+        got = render_outcome(columns, record, fmt)
+        with mock.patch.object(cli, "_cells", reference_cells):
+            want = render_outcome(columns, record, fmt)
+        assert got == want
+
+    def test_signed_zeros_stay_apart(self):
+        zeros = np.array([0.0, -0.0, 0.0, -0.0])
+        assert cli._cells(zeros, "plain") == ["0", "-0", "0", "-0"]
+        assert cli._cells(zeros, "json") == ["0.0", "-0.0", "0.0", "-0.0"]
 
 
 class TestParserReuse:

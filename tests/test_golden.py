@@ -2,11 +2,12 @@
 
 The files under tests/data/ were written by the CLI before the closed forms
 moved onto one broadcast core (table1, critical, sweep) and before the CLI
-rendered from columns (concurrence, fidelity, verify).  The sweep grid
-includes eta >= 1 and cells of zero concurrence.  `verify` is rendered from
-fixed check results, so its golden does not depend on the machine's
-floating-point library; one of them is an infinite Monte Carlo pull, which
-fails and sets exit code 1.
+rendered from columns (concurrence, fidelity, verify); sweep_negj, before
+float columns were formatted once per distinct value.  The sweep grids
+include eta >= 1 and cells of zero concurrence; at j = -1, b_m = -0.
+`verify` is rendered from fixed check results, so its golden does not
+depend on the machine's floating-point library; one of them is an infinite
+Monte Carlo pull, which fails and sets exit code 1.
 """
 
 from pathlib import Path
@@ -22,6 +23,8 @@ COMMANDS = {
     "table1": ["table1"],
     "critical": ["critical", "--eta", "0.3"],
     "sweep": ["sweep", "--eta-range", "0", "1.5", "--t-range", "0.05", "5", "--steps", "7", "5"],
+    "sweep_negj": ["sweep", "--j", "-1", "--eta-range", "0", "1.5", "--t-range", "0.05", "5",
+                   "--steps", "16", "12"],
     "concurrence": ["concurrence", "--j", "1", "--bm", "0", "--t", "1"],
     "fidelity": ["fidelity", "--j", "1", "--bm", "0.5", "--t", "1", "--theta", "0.7"],
     "verify": ["verify", "--grid-size", "50", "--seed", "3"],

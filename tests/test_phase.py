@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxteleport.phase as phase
@@ -251,3 +251,26 @@ class TestSweep:
         with pytest.raises(ValueError) as got:
             sweep(j, etas, ts)
         assert str(got.value) == str(want.value)
+
+    # Valid values, mostly, and values that break a ModelParams rule on their
+    # own or together: zero and negative t, NaN, both infinities, a t whose beta
+    # overflows, and fields whose beta*energy overflows at small t.
+    GRID_VALUES = st.one_of(
+        st.floats(1e-3, 2.0), st.floats(-2.0, 2.0),
+        st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324,
+                         1e-300, 1e10, 1e300, 1e308]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(j=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           etas=st.lists(GRID_VALUES, max_size=5), ts=st.lists(GRID_VALUES, max_size=5))
+    @example(j=1.0, etas=[0.5], ts=[1.0, math.inf])  # an infinite t has a finite beta
+    @example(j=1.0, etas=[0.5, 1e300], ts=[1.0, 1e-300])  # b_m[1] fails at the coldest t only
+    @example(j=1.0, etas=[1e10, 1e300], ts=[1.0, 1e-300])  # row 0 fails before b_m[1]
+    def test_grid_check_raises_like_loop(self, j, etas, ts):
+        def message(fn):
+            try:
+                fn(j, etas, ts)
+            except ValueError as exc:
+                return str(exc)
+            return None
+        assert message(sweep) == message(loop_sweep)
